@@ -1,6 +1,8 @@
 #include "detect/csr_peeler.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <numeric>
 
 #include "common/logging.h"
@@ -18,8 +20,18 @@ bool PeelHeap::EnsureCapacity(int64_t capacity) {
     pos_.resize(static_cast<size_t>(capacity), -1);
     grew = true;
   }
+  // Reserved, not resized: only the extent a peel actually uses is ever
+  // touched, so a parent-sized capacity costs no resident memory.
+  if (run_.capacity() < static_cast<size_t>(capacity)) {
+    run_.reserve(static_cast<size_t>(capacity));
+    grew = true;
+  }
   if (heap_.capacity() < static_cast<size_t>(capacity)) {
     heap_.reserve(static_cast<size_t>(capacity));
+    grew = true;
+  }
+  if (radix_counts_.empty()) {
+    radix_counts_.resize(kRadixPasses * kRadixBuckets);
     grew = true;
   }
   return grew;
@@ -32,17 +44,62 @@ void PeelHeap::Place(size_t i, Entry e) {
 
 void PeelHeap::Append(int64_t id, double key) {
   ENSEMFDET_DCHECK(id >= 0 && id < static_cast<int64_t>(pos_.size()));
-  heap_.push_back({key, id});
-  pos_[static_cast<size_t>(id)] =
-      static_cast<int64_t>(heap_.size()) - 1;
+  ENSEMFDET_DCHECK(run_.empty() || run_.back().id < id);
+  ENSEMFDET_DCHECK(!std::signbit(key));
+  ENSEMFDET_DCHECK(run_live_ == 0 && heap_.empty());
+  run_.push_back({key, id});
 }
 
-void PeelHeap::Heapify() {
-  if (heap_.size() < 2) return;
-  // Floyd: sift down every internal node, last first. The last internal
-  // node is the parent of the last entry.
-  for (size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
-    SiftDown(i);
+void PeelHeap::Build() {
+  ENSEMFDET_DCHECK(run_head_ == 0 && run_live_ == 0 && heap_.empty());
+  RadixSortRun();
+  for (size_t i = 0; i < run_.size(); ++i) {
+    pos_[static_cast<size_t>(run_[i].id)] = -2 - static_cast<int64_t>(i);
+  }
+  run_live_ = static_cast<int64_t>(run_.size());
+  sorted_pops_ = 0;
+}
+
+void PeelHeap::RadixSortRun() {
+  const size_t n = run_.size();
+  if (n < 2) return;
+  // One histogram pass for every digit; a digit shared by all keys (the
+  // sign/exponent digit usually is) skips its scatter pass.
+  std::fill(radix_counts_.begin(), radix_counts_.end(), 0u);
+  for (const Entry& e : run_) {
+    const uint64_t bits = std::bit_cast<uint64_t>(e.key);
+    for (int d = 0; d < kRadixPasses; ++d) {
+      ++radix_counts_[d * kRadixBuckets +
+                      ((bits >> (d * kRadixBits)) & (kRadixBuckets - 1))];
+    }
+  }
+  heap_.resize(n);
+  for (int d = 0; d < kRadixPasses; ++d) {
+    uint32_t* counts = radix_counts_.data() + d * kRadixBuckets;
+    const int shift = d * kRadixBits;
+    const uint64_t first_digit =
+        (std::bit_cast<uint64_t>(run_[0].key) >> shift) & (kRadixBuckets - 1);
+    if (counts[first_digit] == n) continue;
+    uint32_t offset = 0;
+    for (size_t b = 0; b < kRadixBuckets; ++b) {
+      const uint32_t count = counts[b];
+      counts[b] = offset;
+      offset += count;
+    }
+    for (const Entry& e : run_) {
+      const uint64_t digit =
+          (std::bit_cast<uint64_t>(e.key) >> shift) & (kRadixBuckets - 1);
+      heap_[counts[digit]++] = e;
+    }
+    run_.swap(heap_);
+  }
+  heap_.clear();
+}
+
+void PeelHeap::RetireRunEntry() {
+  if (--run_live_ == 0) {
+    run_.clear();
+    run_head_ = 0;
   }
 }
 
@@ -69,20 +126,7 @@ void PeelHeap::SiftUp(size_t i) {
   Place(i, e);
 }
 
-void PeelHeap::SiftDown(size_t i) {
-  Entry e = heap_[i];
-  const size_t n = heap_.size();
-  for (;;) {
-    const size_t child = MinChild(i);
-    if (child >= n || !Less(heap_[child], e)) break;
-    Place(i, heap_[child]);
-    i = child;
-  }
-  Place(i, e);
-}
-
-int64_t PeelHeap::PopMin() {
-  ENSEMFDET_CHECK(!heap_.empty());
+int64_t PeelHeap::PopHeap() {
   const int64_t id = heap_[0].id;
   pos_[static_cast<size_t>(id)] = -1;  // keeps AddTo's misuse DCHECK live
   Entry last = heap_.back();
@@ -105,20 +149,56 @@ int64_t PeelHeap::PopMin() {
   return id;
 }
 
+int64_t PeelHeap::PopMin() {
+  ENSEMFDET_CHECK(!empty());
+  if (run_live_ > 0) {
+    // A live entry lies ahead, so the stale-slot skip needs no bound.
+    while (run_[run_head_].id == kMoved) ++run_head_;
+    const Entry& front = run_[run_head_];
+    if (heap_.empty() || Less(front, heap_[0])) {
+      const int64_t id = front.id;
+      pos_[static_cast<size_t>(id)] = -1;
+      ++run_head_;
+      ++sorted_pops_;
+      RetireRunEntry();
+      return id;
+    }
+  }
+  return PopHeap();
+}
+
 void PeelHeap::Clear() {
   // O(size): invalidate contained positions so AddTo on a cleared id
   // still trips its DCHECK instead of mutating an unrelated entry later.
   for (const Entry& e : heap_) pos_[static_cast<size_t>(e.id)] = -1;
+  for (size_t i = run_head_; i < run_.size(); ++i) {
+    if (run_[i].id != kMoved) pos_[static_cast<size_t>(run_[i].id)] = -1;
+  }
   heap_.clear();
+  run_.clear();
+  run_head_ = 0;
+  run_live_ = 0;
 }
 
 void PeelHeap::AddTo(int64_t id, double delta) {
-  ENSEMFDET_DCHECK(pos_[static_cast<size_t>(id)] >= 0);
+  const int64_t pos = pos_[static_cast<size_t>(id)];
+  ENSEMFDET_DCHECK(pos != -1);
   ENSEMFDET_DCHECK(delta <= 0.0);
-  const size_t i = static_cast<size_t>(pos_[static_cast<size_t>(id)]);
   // Same arithmetic as IndexedMinHeap::AddToKey: key ← key + delta.
-  heap_[i].key = heap_[i].key + delta;
-  SiftUp(i);
+  if (pos >= 0) {
+    const size_t i = static_cast<size_t>(pos);
+    heap_[i].key = heap_[i].key + delta;
+    SiftUp(i);
+    return;
+  }
+  // First update since Build: move the entry from its run slot (left
+  // stale) into the heap.
+  Entry& slot = run_[static_cast<size_t>(-2 - pos)];
+  const Entry moved{slot.key + delta, id};
+  slot.id = kMoved;
+  RetireRunEntry();
+  heap_.push_back(moved);
+  SiftUp(heap_.size() - 1);
 }
 
 }  // namespace detail
@@ -357,8 +437,8 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
 
   // Heap over member packed ids (users then merchants, each ascending —
   // monotone in parent packed id, so (key, id) ties break exactly like
-  // the seed). PopMin is a pure function of that total order, so bulk
-  // Floyd build yields the exact pop sequence of one-by-one pushes.
+  // the seed). PopMin is a pure function of that total order, so the
+  // sorted-run build yields the exact pop sequence of one-by-one pushes.
   ENSEMFDET_DCHECK(s.heap.empty());
   for (UserId mu : s.incident_users) {
     s.heap.Append(mu, s.priority[mu]);
@@ -369,7 +449,7 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
     s.heap.Append(id, s.priority[static_cast<size_t>(id)]);
     s.removed[static_cast<size_t>(id)] = 0;
   }
-  s.heap.Heapify();
+  s.heap.Build();
   int64_t alive = s.heap.size();
   const int64_t peel_steps = alive;
 
@@ -426,6 +506,8 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
   }
 
   if (!s.heap.empty()) s.heap.Clear();  // mass-exhausted early exit
+  s.peel_pops += static_cast<int64_t>(s.removal_order.size());
+  s.peel_sorted_pops += s.heap.sorted_pops();
 
   // Extraction in member ids (ascending ⇒ parent-ascending after the
   // caller's translation); `gone` is all-zero between calls.
@@ -574,7 +656,7 @@ PeelResult CsrPeeler::Peel(std::span<const EdgeId> residual_edges,
     s.heap.Append(dense, s.priority[static_cast<size_t>(id)]);
     s.removed[static_cast<size_t>(id)] = 0;
   }
-  s.heap.Heapify();
+  s.heap.Build();
   int64_t alive = s.heap.size();
   const int64_t peel_steps = alive;
 
@@ -633,6 +715,8 @@ PeelResult CsrPeeler::Peel(std::span<const EdgeId> residual_edges,
   }
 
   if (!s.heap.empty()) s.heap.Clear();  // mass-exhausted early exit
+  s.peel_pops += static_cast<int64_t>(s.removal_order.size());
+  s.peel_sorted_pops += s.heap.sorted_pops();
 
   // The best block is every participating node not removed in the first
   // `best_prefix` deletions. `gone` is all-zero between calls; stamp the

@@ -46,54 +46,66 @@ namespace ensemfdet {
 
 namespace detail {
 
-// Indexed 4-ary min-heap over (key, id) with Floyd bulk-build — the peel
-// loop's priority queue. Build is O(n) (instead of n·log n pushes) and
-// the entry array is reused across peels. Arity 4 halves the levels a
-// sift traverses versus a binary heap and puts all four children of a
-// node in one cache line (4 × 16-byte entries).
+// Two-tier indexed priority queue over (key, id) — the peel loop's queue.
+//
+// Most peel participants are popped with the key they were built with
+// (degree-1 users go before their merchant ever loses an edge), so the
+// queue keeps two tiers:
+//   * the *run*: every appended entry, sorted once by Build() into
+//     (key, id) order and consumed front to back — a sequential read per
+//     pop instead of a sift;
+//   * the *heap*: a 4-ary indexed min-heap holding only the entries whose
+//     key changed. The first AddTo on an entry moves it out of the run
+//     (its run slot goes stale and is skipped when it reaches the front);
+//     later AddTos sift it up in place. Arity 4 puts all four children of
+//     a node in one cache line (4 × 16-byte entries).
+// PopMin returns the smaller of the run front and the heap top.
+//
+// Build sorts with a stable LSD radix sort on the key bits. Build-time
+// keys are sums of validated positive masses — never negative, never
+// −0.0 — so their IEEE bit patterns order exactly like their values; ids
+// are appended in ascending order, so the stable sort breaks key ties by
+// smaller id.
 //
 // Ids are *dense per-peel slots* (0..n-1 in Append order), not graph node
 // ids: the caller appends participants in ascending packed-node order and
-// keeps a slot↔node mapping, so every array the sift chain touches
-// (entries, positions) is sized to the residual — L1-resident for sampled
-// ensemble members — instead of to the whole parent graph.
+// keeps a slot↔node mapping, so every array a pop or update touches
+// (run, heap, positions) is sized to the residual — L1-resident for
+// sampled ensemble members — instead of to the whole parent graph.
 //
 // Output-equivalence note: PopMin returns the *global* minimum under the
 // total order (key, then smaller id) of the alive entries, so the pop
 // sequence is a pure function of the key arithmetic — identical to
-// IndexedMinHeap's regardless of arity, internal layout, or Append
-// order; and because the dense slot assignment is monotone in packed
-// node id, (key, slot) ties break exactly like (key, node). AddTo
-// applies `key + delta` exactly like IndexedMinHeap::AddToKey,
-// preserving bit-exact parity with the seed peeler.
+// IndexedMinHeap's regardless of tiers, arity or internal layout; and
+// because the dense slot assignment is monotone in packed node id,
+// (key, slot) ties break exactly like (key, node). AddTo applies
+// `key + delta` exactly like IndexedMinHeap::AddToKey, preserving
+// bit-exact parity with the seed peeler.
 class PeelHeap {
  public:
-  /// Empty heap with zero id capacity; call EnsureCapacity before use.
+  /// Empty queue with zero id capacity; call EnsureCapacity before use.
   PeelHeap() = default;
-  /// Heap over ids [0, capacity), initially empty.
+  /// Queue over ids [0, capacity), initially empty.
   explicit PeelHeap(int64_t capacity);
 
   /// Grows the id capacity to at least `capacity` (never shrinks).
   /// Returns true if backing storage actually grew.
   bool EnsureCapacity(int64_t capacity);
 
-  bool empty() const { return heap_.empty(); }
-  int64_t size() const { return static_cast<int64_t>(heap_.size()); }
+  bool empty() const { return size() == 0; }
+  int64_t size() const {
+    return run_live_ + static_cast<int64_t>(heap_.size());
+  }
 
-  /// Appends an entry for `id` without restoring heap order (any stale
-  /// position bookkeeping for `id` from earlier builds is overwritten).
-  /// Call Heapify() after the last append and before any PopMin/AddTo.
+  /// Appends an entry for `id` (ids strictly ascending within one build;
+  /// `key` ≥ +0.0). Call Build() after the last append and before any
+  /// PopMin/AddTo; the queue must be empty when the first append of a
+  /// build happens.
   void Append(int64_t id, double key);
-  /// Floyd heapify over everything appended so far; O(n).
-  void Heapify();
+  /// Sorts everything appended so far into the run.
+  void Build();
 
-  /// Removes and returns the smallest-(key, id) entry. Internally uses the
-  /// bottom-up "bounce" reinsertion (hole walks to a leaf choosing the
-  /// smallest child, then the displaced last entry sifts up from there):
-  /// fewer comparisons than the textbook sift-down, because the displaced
-  /// entry of a min-heap almost always belongs near the leaves. The
-  /// resulting layout can differ from the textbook variant's, but the pop
-  /// sequence cannot — it is the (key, id) total order either way.
+  /// Removes and returns the smallest-(key, id) entry.
   int64_t PopMin();
 
   /// Adds `delta` (≤ 0 during peeling) to a contained id's key.
@@ -103,24 +115,45 @@ class PeelHeap {
   /// when a peel proves no further pop can matter (mass exhausted).
   void Clear();
 
+  /// Pops served from the sorted run since the last Build().
+  int64_t sorted_pops() const { return sorted_pops_; }
+
  private:
   static constexpr size_t kArity = 4;
+  static constexpr int kRadixBits = 11;
+  static constexpr int kRadixPasses = (64 + kRadixBits - 1) / kRadixBits;
+  static constexpr size_t kRadixBuckets = size_t{1} << kRadixBits;
+  /// Run-slot id marking an entry that AddTo moved into the heap.
+  static constexpr int64_t kMoved = -1;
   struct Entry {
     double key;
     int64_t id;
   };
-  bool Less(const Entry& a, const Entry& b) const {
+  static bool Less(const Entry& a, const Entry& b) {
     if (a.key != b.key) return a.key < b.key;
     return a.id < b.id;
   }
+  /// Stable LSD radix sort of run_ by key bits (heap_ is the scratch
+  /// buffer; it is empty at build time).
+  void RadixSortRun();
   /// Index of the smallest child of `i`, or `size` when `i` is a leaf.
   size_t MinChild(size_t i) const;
   void SiftUp(size_t i);
-  void SiftDown(size_t i);
   void Place(size_t i, Entry e);
+  /// Pops the heap top (heap nonempty).
+  int64_t PopHeap();
+  /// Drops the run once its last live entry is gone.
+  void RetireRunEntry();
 
-  std::vector<Entry> heap_;
-  std::vector<int64_t> pos_;  // dense id → heap index; stale once popped
+  std::vector<Entry> run_;   // sorted at Build; consumed from run_head_
+  size_t run_head_ = 0;
+  int64_t run_live_ = 0;     // run entries neither popped nor moved
+  std::vector<Entry> heap_;  // entries whose key changed since Build
+  /// Dense id → heap index (≥ 0), run index i encoded as −2−i, or −1
+  /// when not contained.
+  std::vector<int64_t> pos_;
+  std::vector<uint32_t> radix_counts_;  // kRadixPasses × kRadixBuckets
+  int64_t sorted_pops_ = 0;
 };
 
 }  // namespace detail
@@ -210,6 +243,11 @@ struct PeelScratch {
   /// Cumulative count of buffer growth events across all Prepare() calls;
   /// stays flat once the arena is warm for the graphs it serves.
   int64_t grow_events = 0;
+  /// Peel-queue pops, and those served from the sorted run, accumulated
+  /// per peel and not yet flushed to the metrics registry (the FDET
+  /// drivers flush and zero them once per call).
+  int64_t peel_pops = 0;
+  int64_t peel_sorted_pops = 0;
 
   /// Sizes every core peel/FDET buffer for `graph` (growing, never
   /// shrinking) and returns the number of buffers that had to grow (0

@@ -11,6 +11,7 @@
 #include "detect/greedy_peeler.h"
 #include "detect/simd/kernels.h"
 #include "graph/subgraph.h"
+#include "obs/metrics.h"
 
 namespace ensemfdet {
 
@@ -297,6 +298,24 @@ FdetResult RunFdetInView(const CsrGraph& graph,
   return TruncateExplored(std::move(explored), config);
 }
 
+// Moves the arena's accumulated peel-queue pop counts into the registry —
+// once per FDET call, never per pop or per peel: streaming detection runs
+// thousands of microsecond-scale component peels.
+void FlushPeelCounters(PeelScratch* scratch) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  static obs::Counter* const pops = reg.GetCounter(
+      "ensemfdet_detect_peel_pops_total",
+      "Peel-queue pops: one per node a densest-block peel removes.");
+  static obs::Counter* const sorted_pops = reg.GetCounter(
+      "ensemfdet_detect_peel_sorted_pops_total",
+      "Peel-queue pops served from the sorted run: nodes whose key never "
+      "changed after the queue was built.");
+  pops->Increment(scratch->peel_pops);
+  sorted_pops->Increment(scratch->peel_sorted_pops);
+  scratch->peel_pops = 0;
+  scratch->peel_sorted_pops = 0;
+}
+
 }  // namespace
 
 Result<FdetResult> RunFdetCsr(const CsrGraph& graph,
@@ -307,7 +326,9 @@ Result<FdetResult> RunFdetCsr(const CsrGraph& graph,
   scratch.fdet_remaining.resize(static_cast<size_t>(graph.num_edges()));
   std::iota(scratch.fdet_remaining.begin(), scratch.fdet_remaining.end(),
             EdgeId{0});
-  return RunFdetOverResidual(graph, config, &scratch);
+  FdetResult result = RunFdetOverResidual(graph, config, &scratch);
+  FlushPeelCounters(&scratch);
+  return result;
 }
 
 Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
@@ -321,8 +342,10 @@ Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
   }
   ENSEMFDET_CHECK(scratch != nullptr);
   scratch->Prepare(graph);
-  return RunFdetInView(graph, initial_residual, weight_scale, config,
-                       scratch);
+  FdetResult result =
+      RunFdetInView(graph, initial_residual, weight_scale, config, scratch);
+  FlushPeelCounters(scratch);
+  return result;
 }
 
 Result<FdetResult> RunFdetReference(const BipartiteGraph& graph,

@@ -25,14 +25,18 @@ int HighestBucket(const HistogramSnapshot& hist) {
   return -1;
 }
 
-double ScaledBound(const HistogramSnapshot& hist, size_t i) {
-  const double raw = static_cast<double>(Histogram::BucketUpperBound(i));
+/// A raw histogram value in export units (ns → seconds for kSeconds) —
+/// the same scaling HistogramSnapshot::Quantile applies.
+double Scaled(const HistogramSnapshot& hist, double raw) {
   return hist.unit == Histogram::Unit::kSeconds ? raw * 1e-9 : raw;
 }
 
+double ScaledBound(const HistogramSnapshot& hist, size_t i) {
+  return Scaled(hist, static_cast<double>(Histogram::BucketUpperBound(i)));
+}
+
 double ScaledExemplar(const HistogramSnapshot& hist) {
-  const double raw = static_cast<double>(hist.exemplar_value);
-  return hist.unit == Histogram::Unit::kSeconds ? raw * 1e-9 : raw;
+  return Scaled(hist, static_cast<double>(hist.exemplar_value));
 }
 
 std::string JsonEscape(std::string_view text) {
@@ -170,10 +174,13 @@ std::string ToJson(const RegistrySnapshot& snapshot) {
         const HistogramSnapshot& hist = metric.histogram;
         AppendF(&out,
                 "\"type\": \"histogram\", \"unit\": \"%s\", "
-                "\"count\": %lld, \"sum\": %.9g, \"p50\": %.9g, "
-                "\"p99\": %.9g, \"p999\": %.9g, ",
+                "\"count\": %lld, \"sum\": %.9g, \"min\": %.9g, "
+                "\"max\": %.9g, \"p50\": %.9g, \"p99\": %.9g, "
+                "\"p999\": %.9g, ",
                 hist.unit == Histogram::Unit::kSeconds ? "seconds" : "units",
                 static_cast<long long>(hist.count), hist.ScaledSum(),
+                Scaled(hist, static_cast<double>(hist.raw_min)),
+                Scaled(hist, static_cast<double>(hist.raw_max)),
                 hist.Quantile(0.50), hist.Quantile(0.99),
                 hist.Quantile(0.999));
         if (hist.has_exemplar()) {

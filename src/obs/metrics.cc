@@ -57,10 +57,11 @@ double HistogramSnapshot::QuantileRaw(double q) const {
     const double fraction =
         static_cast<double>(target - cumulative) /
         static_cast<double>(buckets[i]);
-    return lower + fraction * (upper - lower);
+    return std::clamp(lower + fraction * (upper - lower),
+                      static_cast<double>(raw_min),
+                      static_cast<double>(raw_max));
   }
-  return static_cast<double>(
-      Histogram::BucketUpperBound(Histogram::kNumBuckets - 1));
+  return static_cast<double>(raw_max);
 }
 
 double HistogramSnapshot::Quantile(double q) const {
@@ -151,16 +152,23 @@ RegistrySnapshot MetricsRegistry::Scrape() const {
         break;
       case InstrumentKind::kHistogram: {
         const Histogram& hist = *entry.histogram;
-        metric.histogram.unit = hist.unit();
-        metric.histogram.raw_sum = hist.RawSum();
-        metric.histogram.exemplar_value = hist.ExemplarValue();
-        metric.histogram.exemplar = hist.ExemplarContext();
+        HistogramSnapshot& snap = metric.histogram;
+        snap.unit = hist.unit();
+        snap.raw_sum = hist.RawSum();
+        snap.exemplar_value = hist.ExemplarValue();
+        snap.exemplar = hist.ExemplarContext();
         int64_t count = 0;
         for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-          metric.histogram.buckets[i] = hist.BucketCount(i);
-          count += metric.histogram.buckets[i];
+          snap.buckets[i] = hist.BucketCount(i);
+          count += snap.buckets[i];
         }
-        metric.histogram.count = count;
+        snap.count = count;
+        if (count > 0) {
+          // Loaded after the buckets: every observation counted above
+          // has its extremes visible (see Histogram::Record).
+          snap.raw_min = hist.RawMin();
+          snap.raw_max = hist.RawMax();
+        }
         break;
       }
     }

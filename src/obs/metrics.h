@@ -7,9 +7,10 @@
 //   * Gauge     — a single relaxed atomic (set/add); used for
 //                 instantaneous values like queue depth.
 //   * Histogram — fixed log2 buckets (HDR-style) over non-negative int64
-//                 observations, one relaxed atomic per bucket plus a sum.
-//                 Quantiles are estimated on the snapshot by linear
-//                 interpolation inside the hit bucket.
+//                 observations, one relaxed atomic per bucket plus a sum
+//                 and the raw min/max. Quantiles are estimated on the
+//                 snapshot by linear interpolation inside the hit bucket,
+//                 clamped to the observed [min, max].
 //
 // Instruments live in a MetricsRegistry: name → instrument, created on
 // first Get*() and stable for the registry's lifetime, so callers resolve
@@ -196,7 +197,19 @@ class Histogram {
 #if !defined(ENSEMFDET_METRICS_DISABLED)
     if (!internal::RuntimeEnabled()) return;
     if (value < 0) value = 0;
-    buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+    // Raw extremes bound every exported quantile: one relaxed load each,
+    // a CAS only when this observation is a new extreme. The bucket
+    // increment releases them, so a scrape that counts this observation
+    // (acquire in BucketCount) also sees extremes that cover it.
+    int64_t seen = min_.load(std::memory_order_relaxed);
+    while (value < seen && !min_.compare_exchange_weak(
+                               seen, value, std::memory_order_relaxed)) {
+    }
+    seen = max_.load(std::memory_order_relaxed);
+    while (value > seen && !max_.compare_exchange_weak(
+                               seen, value, std::memory_order_relaxed)) {
+    }
+    buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_release);
     sum_.fetch_add(value, std::memory_order_relaxed);
     // Tail exemplar: remember the trace that produced the largest
     // observation so far, so a p999 in a scrape links back to a span
@@ -225,7 +238,7 @@ class Histogram {
     int64_t count = 0;
 #if !defined(ENSEMFDET_METRICS_DISABLED)
     for (const auto& bucket : buckets_)
-      count += bucket.load(std::memory_order_relaxed);
+      count += bucket.load(std::memory_order_acquire);
 #endif
     return count;
   }
@@ -236,9 +249,25 @@ class Histogram {
     return 0;
 #endif
   }
+  /// Smallest raw observation so far (int64 max when none yet).
+  int64_t RawMin() const {
+#if !defined(ENSEMFDET_METRICS_DISABLED)
+    return min_.load(std::memory_order_relaxed);
+#else
+    return std::numeric_limits<int64_t>::max();
+#endif
+  }
+  /// Largest raw observation so far (-1 when none yet).
+  int64_t RawMax() const {
+#if !defined(ENSEMFDET_METRICS_DISABLED)
+    return max_.load(std::memory_order_relaxed);
+#else
+    return -1;
+#endif
+  }
   int64_t BucketCount(size_t i) const {
 #if !defined(ENSEMFDET_METRICS_DISABLED)
-    return buckets_[i].load(std::memory_order_relaxed);
+    return buckets_[i].load(std::memory_order_acquire);
 #else
     (void)i;
     return 0;
@@ -268,6 +297,8 @@ class Histogram {
   Unit unit_;
 #if !defined(ENSEMFDET_METRICS_DISABLED)
   std::atomic<int64_t> sum_{0};
+  std::atomic<int64_t> min_{std::numeric_limits<int64_t>::max()};
+  std::atomic<int64_t> max_{-1};
   std::array<std::atomic<int64_t>, kNumBuckets> buckets_{};
   std::atomic<int64_t> exemplar_value_{-1};
   std::atomic<uint64_t> exemplar_trace_hi_{0};
@@ -285,6 +316,9 @@ struct HistogramSnapshot {
   Histogram::Unit unit = Histogram::Unit::kSeconds;
   int64_t count = 0;
   int64_t raw_sum = 0;
+  /// Smallest / largest raw observation (0 / 0 when empty).
+  int64_t raw_min = 0;
+  int64_t raw_max = 0;
   std::array<int64_t, Histogram::kNumBuckets> buckets{};
   /// Tail exemplar: the largest observation's raw value and causal ids
   /// (-1 / zeros when nothing was recorded with a context installed).
@@ -300,7 +334,9 @@ struct HistogramSnapshot {
   /// Estimated q-quantile (q in [0,1]) in raw units: walks the
   /// cumulative bucket counts to the bucket containing rank
   /// ceil(q*count), then interpolates linearly between the bucket's
-  /// bounds by the rank's position inside the bucket. 0 when empty.
+  /// bounds by the rank's position inside the bucket, and clamps the
+  /// estimate to [raw_min, raw_max] so no quantile reports a value
+  /// outside the observed range. 0 when empty.
   double QuantileRaw(double q) const;
   /// QuantileRaw scaled per unit (ns → seconds for Unit::kSeconds).
   double Quantile(double q) const;

@@ -103,12 +103,17 @@ TEST_P(CsrParityTest, KCoreIdentical) {
 
 TEST_P(CsrParityTest, FdetBitExactAutoElbow) {
   const auto [seed, weighted] = GetParam();
-  BipartiteGraph g = RandomPeelGraph(80, 50, 350, seed, weighted);
-  FdetConfig cfg;
-  cfg.max_blocks = 12;
-  auto reference = RunFdetReference(g, cfg).ValueOrDie();
-  auto csr = RunFdet(g, cfg).ValueOrDie();
-  ExpectFdetResultsIdentical(reference, csr);
+  // The second graph's peels have thousands of participants, so parity
+  // also covers peel queues the size of sampled production members.
+  for (BipartiteGraph g : {RandomPeelGraph(80, 50, 350, seed, weighted),
+                           RandomPeelGraph(3000, 1500, 12000, seed,
+                                           weighted)}) {
+    FdetConfig cfg;
+    cfg.max_blocks = 12;
+    auto reference = RunFdetReference(g, cfg).ValueOrDie();
+    auto csr = RunFdet(g, cfg).ValueOrDie();
+    ExpectFdetResultsIdentical(reference, csr);
+  }
 }
 
 TEST_P(CsrParityTest, FdetBitExactFixedK) {

@@ -8,6 +8,7 @@
 // sample shapes and block counts.
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,10 +23,13 @@
 namespace ensemfdet {
 namespace {
 
-// A dense 12×5 planted block in a 150×60 sparse background, plus a second
-// shallower 6×4 block so FDET finds several blocks per member.
-BipartiteGraph TestGraph(uint64_t noise_seed, bool weighted) {
-  GraphBuilder b(150, 60);
+// A dense 12×5 planted block in a 150·scale × 60·scale sparse background
+// (300·scale noise edges), plus a second shallower 6×4 block so FDET
+// finds several blocks per member.
+BipartiteGraph TestGraph(uint64_t noise_seed, bool weighted, int scale = 1) {
+  const uint64_t users = 150 * static_cast<uint64_t>(scale);
+  const uint64_t merchants = 60 * static_cast<uint64_t>(scale);
+  GraphBuilder b(static_cast<int64_t>(users), static_cast<int64_t>(merchants));
   for (UserId u = 0; u < 12; ++u) {
     for (MerchantId v = 0; v < 5; ++v) b.AddEdge(u, v);
   }
@@ -33,10 +37,10 @@ BipartiteGraph TestGraph(uint64_t noise_seed, bool weighted) {
     for (MerchantId v = 10; v < 14; ++v) b.AddEdge(u, v);
   }
   Rng rng(noise_seed);
-  for (int i = 0; i < 300; ++i) {
+  for (int i = 0; i < 300 * scale; ++i) {
     const double w = weighted ? 0.5 + rng.NextDouble() : 1.0;
-    b.AddEdge(static_cast<UserId>(rng.NextBounded(150)),
-              static_cast<MerchantId>(rng.NextBounded(60)), w);
+    b.AddEdge(static_cast<UserId>(rng.NextBounded(users)),
+              static_cast<MerchantId>(rng.NextBounded(merchants)), w);
   }
   return b.Build().ValueOrDie();
 }
@@ -94,10 +98,17 @@ TEST(EnsembleParityTest, AllMethodsSeedsRatiosAndPoolWidths) {
   ThreadPool pool4(4);
   ThreadPool* pools[] = {nullptr, &pool2, &pool4};
 
-  const BipartiteGraph graph = TestGraph(/*noise_seed=*/41, false);
+  const BipartiteGraph small = TestGraph(/*noise_seed=*/41, false);
+  // ~5k nodes: members sampled at 0.4 peel thousands of participants, so
+  // parity also covers peel queues of that size.
+  const BipartiteGraph large = TestGraph(/*noise_seed=*/41, false,
+                                         /*scale=*/25);
+  const std::pair<const BipartiteGraph*, double> cases[] = {
+      {&small, 0.15}, {&small, 0.4}, {&large, 0.4}};
   for (SampleMethod method : kAllMethods) {
     for (uint64_t seed : {7u, 77u, 1234u}) {
-      for (double ratio : {0.15, 0.4}) {
+      for (const auto& [graph_ptr, ratio] : cases) {
+        const BipartiteGraph& graph = *graph_ptr;
         EnsemFDetConfig cfg;
         cfg.method = method;
         cfg.num_samples = 6;
@@ -114,6 +125,7 @@ TEST(EnsembleParityTest, AllMethodsSeedsRatiosAndPoolWidths) {
               hot, ref,
               std::string(SampleMethodName(method)) + " seed=" +
                   std::to_string(seed) + " ratio=" + std::to_string(ratio) +
+                  " users=" + std::to_string(graph.num_users()) +
                   " threads=" +
                   std::to_string(pool == nullptr ? 1 : pool->num_threads()));
         }

@@ -123,10 +123,11 @@ TEST(HistogramMath, BucketBoundsRoundTrip) {
 
 /// Scalar reference for the documented quantile algorithm: rank
 /// ceil(q*count), cumulative walk, linear interpolation inside the hit
-/// bucket. Kept deliberately independent of the implementation.
+/// bucket, clamped to the observed [min, max]. Kept deliberately
+/// independent of the implementation.
 double ReferenceQuantile(const std::array<int64_t, Histogram::kNumBuckets>&
                              buckets,
-                         int64_t count, double q) {
+                         int64_t count, int64_t min, int64_t max, double q) {
   if (count <= 0) return 0.0;
   q = std::min(1.0, std::max(0.0, q));
   const int64_t target =
@@ -142,12 +143,13 @@ double ReferenceQuantile(const std::array<int64_t, Histogram::kNumBuckets>&
           static_cast<double>(Histogram::BucketLowerBound(i));
       const double hi =
           static_cast<double>(Histogram::BucketUpperBound(i));
-      return lo + fraction * (hi - lo);
+      const double estimate = lo + fraction * (hi - lo);
+      return std::min(static_cast<double>(max),
+                      std::max(static_cast<double>(min), estimate));
     }
     cumulative += buckets[i];
   }
-  return static_cast<double>(
-      Histogram::BucketUpperBound(Histogram::kNumBuckets - 1));
+  return static_cast<double>(max);
 }
 
 HistogramSnapshot Snap(const Histogram& h) {
@@ -155,6 +157,10 @@ HistogramSnapshot Snap(const Histogram& h) {
   s.unit = h.unit();
   s.count = h.Count();
   s.raw_sum = h.RawSum();
+  if (s.count > 0) {
+    s.raw_min = h.RawMin();
+    s.raw_max = h.RawMax();
+  }
   for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
     s.buckets[i] = h.BucketCount(i);
   }
@@ -170,28 +176,68 @@ TEST_F(ObsTest, HistogramQuantilesMatchScalarReference) {
   h.Record(0);
   const HistogramSnapshot s = Snap(h);
   EXPECT_EQ(s.count, 2501);
+  EXPECT_EQ(s.raw_min, 0);
+  EXPECT_EQ(s.raw_max, 1 << 20);
   for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    EXPECT_DOUBLE_EQ(s.QuantileRaw(q),
-                     ReferenceQuantile(s.buckets, s.count, q))
+    EXPECT_DOUBLE_EQ(
+        s.QuantileRaw(q),
+        ReferenceQuantile(s.buckets, s.count, s.raw_min, s.raw_max, q))
         << "q=" << q;
   }
+  // The top bucket spans [2^20, 2^21 - 1] but holds only 2^20s: the
+  // clamp keeps p99 and p100 at the largest observed value.
+  EXPECT_DOUBLE_EQ(s.QuantileRaw(0.99), static_cast<double>(1 << 20));
+  EXPECT_DOUBLE_EQ(s.QuantileRaw(1.0), static_cast<double>(1 << 20));
 }
 
 TEST_F(ObsTest, HistogramQuantilesPinnedSingleBucket) {
   if (!kMetricsCompiledIn) GTEST_SKIP() << "metrics compiled out";
   // 1000 observations of 100 all land in bucket 7 = [64, 127]. The
-  // interpolation is then exactly rank/1000 of the way through the
-  // bucket, which pins concrete values.
+  // interpolation alone would report 95.5 / 126.37 / 126.937 / 127 —
+  // values never observed; the [min, max] clamp pins every quantile to
+  // the one value recorded.
   Histogram h(Histogram::Unit::kUnits);
   for (int i = 0; i < 1000; ++i) h.Record(100);
   const HistogramSnapshot s = Snap(h);
   EXPECT_EQ(s.count, 1000);
   EXPECT_EQ(s.raw_sum, 100000);
   EXPECT_EQ(s.buckets[7], 1000);
-  EXPECT_DOUBLE_EQ(s.QuantileRaw(0.5), 64.0 + 0.5 * 63.0);    // 95.5
-  EXPECT_DOUBLE_EQ(s.QuantileRaw(0.99), 64.0 + 0.99 * 63.0);  // 126.37
-  EXPECT_DOUBLE_EQ(s.QuantileRaw(0.999), 64.0 + 0.999 * 63.0);
-  EXPECT_DOUBLE_EQ(s.QuantileRaw(1.0), 127.0);
+  for (double q : {0.0, 0.5, 0.99, 0.999, 1.0}) {
+    EXPECT_DOUBLE_EQ(s.QuantileRaw(q), 100.0) << "q=" << q;
+  }
+
+  // With the bucket's own bounds observed, the interpolation is exactly
+  // rank/1000 of the way through the bucket, which pins concrete values.
+  Histogram spread(Histogram::Unit::kUnits);
+  spread.Record(64);
+  for (int i = 0; i < 998; ++i) spread.Record(100);
+  spread.Record(127);
+  const HistogramSnapshot t = Snap(spread);
+  EXPECT_EQ(t.buckets[7], 1000);
+  EXPECT_DOUBLE_EQ(t.QuantileRaw(0.5), 64.0 + 0.5 * 63.0);    // 95.5
+  EXPECT_DOUBLE_EQ(t.QuantileRaw(0.99), 64.0 + 0.99 * 63.0);  // 126.37
+  EXPECT_DOUBLE_EQ(t.QuantileRaw(0.999), 64.0 + 0.999 * 63.0);
+  EXPECT_DOUBLE_EQ(t.QuantileRaw(1.0), 127.0);
+}
+
+TEST_F(ObsTest, HistogramSingleObservationExportsItsValue) {
+  if (!kMetricsCompiledIn) GTEST_SKIP() << "metrics compiled out";
+  // One 919 ms observation falls in the log2 bucket [2^29, 2^30 - 1] ns,
+  // whose interpolated median is ~1.074 s. Every exported quantile must
+  // be the value actually observed.
+  MetricsRegistry reg;
+  reg.GetHistogram("ensemfdet_test_job_seconds")->Record(919'000'000);
+  const RegistrySnapshot snap = reg.Scrape();
+  const HistogramSnapshot& s = snap.metrics[0].histogram;
+  EXPECT_EQ(s.raw_min, 919'000'000);
+  EXPECT_EQ(s.raw_max, 919'000'000);
+  EXPECT_DOUBLE_EQ(s.Quantile(0.5), 0.919);
+  EXPECT_DOUBLE_EQ(s.Quantile(0.99), 0.919);
+  const std::string json = ToJson(snap);
+  EXPECT_NE(json.find("\"min\": 0.919, \"max\": 0.919, \"p50\": 0.919, "
+                      "\"p99\": 0.919, \"p999\": 0.919"),
+            std::string::npos)
+      << json;
 }
 
 TEST_F(ObsTest, HistogramQuantileWithinTwoXOfTrueValue) {
@@ -200,10 +246,10 @@ TEST_F(ObsTest, HistogramQuantileWithinTwoXOfTrueValue) {
   // the same bucket as the true order statistic.
   Histogram h(Histogram::Unit::kUnits);
   std::vector<int64_t> values;
-  int64_t seed = 12345;
+  uint64_t seed = 12345;  // unsigned: the LCG relies on wraparound
   for (int i = 0; i < 4096; ++i) {
-    seed = seed * 6364136223846793005LL + 1442695040888963407LL;
-    values.push_back((seed >> 33) & 0xFFFFF);  // [0, 2^20)
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    values.push_back(static_cast<int64_t>((seed >> 33) & 0xFFFFF));  // < 2^20
     h.Record(values.back());
   }
   std::sort(values.begin(), values.end());
@@ -235,12 +281,16 @@ TEST_F(ObsTest, HistogramMergeOfSnapshotsEqualsSingleHistogram) {
   const HistogramSnapshot sb = Snap(b);
   merged.count += sb.count;
   merged.raw_sum += sb.raw_sum;
+  merged.raw_min = std::min(merged.raw_min, sb.raw_min);
+  merged.raw_max = std::max(merged.raw_max, sb.raw_max);
   for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
     merged.buckets[i] += sb.buckets[i];
   }
   const HistogramSnapshot expected = Snap(whole);
   EXPECT_EQ(merged.count, expected.count);
   EXPECT_EQ(merged.raw_sum, expected.raw_sum);
+  EXPECT_EQ(merged.raw_min, expected.raw_min);
+  EXPECT_EQ(merged.raw_max, expected.raw_max);
   EXPECT_EQ(merged.buckets, expected.buckets);
   for (double q : {0.5, 0.99, 0.999}) {
     EXPECT_DOUBLE_EQ(merged.QuantileRaw(q), expected.QuantileRaw(q));

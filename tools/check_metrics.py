@@ -22,7 +22,8 @@ Single-scrape checks:
   * Prometheus HELP text is exposition-escaped (no raw newline can
     survive serialization, so we check the escape sequences re-decode),
   * histogram internal consistency: cumulative buckets non-decreasing
-    with the final (+Inf) bucket equal to the observation count.
+    with the final (+Inf) bucket equal to the observation count, and (JSON,
+    which carries them) every exported quantile inside [min, max].
 
 Two-scrape checks (A scraped before B in the same process — the
 metrics-dump subcommand emits exactly this pair around its streaming
@@ -65,6 +66,8 @@ REQUIRED = {
     "ensemfdet_detect_member_sample_seconds": "histogram",
     "ensemfdet_detect_member_peel_seconds": "histogram",
     "ensemfdet_detect_aggregate_seconds": "histogram",
+    "ensemfdet_detect_peel_pops_total": "counter",
+    "ensemfdet_detect_peel_sorted_pops_total": "counter",
     "ensemfdet_ingest_events_ingested_total": "counter",
     "ensemfdet_ingest_publishes_total": "counter",
     "ensemfdet_ingest_publish_seconds": "histogram",
@@ -117,6 +120,8 @@ def parse_json(path, text):
             entry["count"] = m["count"]
             entry["sum"] = m["sum"]
             entry["buckets"] = [b["count"] for b in m["buckets"]]
+            entry["range"] = (m["min"], m["max"])
+            entry["quantiles"] = {q: m[q] for q in ("p50", "p99", "p999")}
         else:
             entry["value"] = m["value"]
         out[m["name"]] = entry
@@ -226,6 +231,14 @@ def validate_scrape(path, metrics):
                       f"{path}: '{name}' +Inf bucket "
                       f"{buckets[-1] if buckets else None} "
                       f"!= count {m['count']}")
+            # JSON only: an estimated quantile never leaves the observed
+            # range (a single 0.919 s observation must not export 1.07 s).
+            if "range" in m and m["count"]:
+                lo, hi = m["range"]
+                for q, value in m["quantiles"].items():
+                    check(lo <= value <= hi,
+                          f"{path}: '{name}' {q}={value} outside observed "
+                          f"[min, max] = [{lo}, {hi}]")
         elif kind == "gauge":
             check(not name.endswith(("_total", "_seconds")),
                   f"{path}: gauge '{name}' wears a counter/histogram suffix")
