@@ -99,6 +99,21 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+/// Runs fn(i) for every i in [0, n): ParallelForWorkStealing on `pool`
+/// when it has more than one thread and there is more than one item, a
+/// plain loop on the calling thread otherwise (`pool` may be null). The
+/// dispatch every skew-heavy call site shares (ensemble members,
+/// partitioned-FDET components, streaming (component, member) pairs);
+/// outputs are identical either way as long as fn(i) depends only on i.
+template <typename Fn>
+void ForEachOnPool(ThreadPool* pool, int64_t n, const Fn& fn) {
+  if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
+    pool->ParallelForWorkStealing(0, n, fn);
+  } else {
+    for (int64_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 /// Process-wide default pool, sized from ENSEMFDET_THREADS env var if set,
 /// otherwise hardware concurrency. Intended for examples/benches; library
 /// components accept an explicit pool.

@@ -86,16 +86,9 @@ Result<FdetResult> RunPartitionedFdet(const BipartiteGraph& graph,
       outputs[static_cast<size_t>(i)] =
           RunFdet(views[static_cast<size_t>(i)].graph, explore);
     };
-    if (pool != nullptr && pool->num_threads() > 1 && eligible.size() > 1) {
-      // Component sizes follow a heavy-tailed distribution; stealing
-      // keeps the pool saturated when one giant component dominates.
-      pool->ParallelForWorkStealing(0, static_cast<int64_t>(eligible.size()),
-                                    run_component);
-    } else {
-      for (int64_t i = 0; i < static_cast<int64_t>(eligible.size()); ++i) {
-        run_component(i);
-      }
-    }
+    // Component sizes follow a heavy-tailed distribution; stealing keeps
+    // the pool saturated when one giant component dominates.
+    ForEachOnPool(pool, static_cast<int64_t>(eligible.size()), run_component);
 
     // Merge: translate ids to the parent space, then order by descending φ
     // (ties: stable by component order) — the order a global FDET would

@@ -107,7 +107,7 @@ struct MemberArena {
 thread_local MemberArena t_member_arena;
 
 // Validation + sampler construction shared by every ensemble entry point
-// (Run / RunReference / RunBlocks): one definition of what a legal config
+// (Run / RunReference / RunMember): one definition of what a legal config
 // is and of the sampler members draw from.
 Result<std::unique_ptr<Sampler>> ValidatedSampler(
     const EnsemFDetConfig& config) {
@@ -118,20 +118,7 @@ Result<std::unique_ptr<Sampler>> ValidatedSampler(
   return MakeSampler(config.method, config.ratio, config.reweight_edges);
 }
 
-// Pool-vs-serial member dispatch shared by every entry point; outputs are
-// indexed by member, so results are identical at any pool width. Member
-// costs are skewed (sampled residuals differ wildly in size), so wide
-// pools use the work-stealing split rather than the static one.
-template <typename Fn>
-void ForEachMember(int n, ThreadPool* pool, const Fn& run_one) {
-  if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
-    pool->ParallelForWorkStealing(0, n, run_one);
-  } else {
-    for (int64_t i = 0; i < n; ++i) run_one(i);
-  }
-}
-
-// The zero-materialization member core shared by Run() and RunBlocks():
+// The zero-materialization member core shared by Run() and RunMember():
 // sample an edge mask of the shared parent, run masked FDET in place on
 // the worker arena, record the sample stats. Everything is in parent ids
 // from the start — no SubgraphView, no ToParentUser remap. Keeping this
@@ -312,8 +299,11 @@ Result<EnsemFDetReport> DriveEnsemble(const EnsemFDetConfig& config,
   const int n = config.num_samples;
   Rng root(config.seed);
 
+  // Outputs are indexed by member, so results are identical at any pool
+  // width. Member costs are skewed (sampled residuals differ wildly in
+  // size), so wide pools use the work-stealing split.
   std::vector<MemberOutput> outputs(static_cast<size_t>(n));
-  ForEachMember(n, pool, [&](int64_t i) {
+  ForEachOnPool(pool, n, [&](int64_t i) {
     outputs[static_cast<size_t>(i)] = run_member(
         *sampler, config.fdet, root.Split(static_cast<uint64_t>(i)));
   });
@@ -347,39 +337,30 @@ Result<EnsemFDetReport> EnsemFDet::RunReference(const BipartiteGraph& graph,
       });
 }
 
-Result<std::vector<EnsembleMemberBlocks>> EnsemFDet::RunBlocks(
-    const CsrGraph& graph, ThreadPool* pool) const {
+Result<EnsembleMemberBlocks> EnsemFDet::RunMember(const CsrGraph& graph,
+                                                  int member) const {
   ENSEMFDET_ASSIGN_OR_RETURN(std::unique_ptr<Sampler> sampler,
                              ValidatedSampler(config_));
-
-  const int n = config_.num_samples;
-  Rng root(config_.seed);
-  std::vector<EnsembleMemberBlocks> outputs(static_cast<size_t>(n));
-  std::vector<Status> statuses(static_cast<size_t>(n), Status::OK());
-
+  if (member < 0 || member >= config_.num_samples) {
+    return Status::InvalidArgument(
+        "member index " + std::to_string(member) + " outside [0, " +
+        std::to_string(config_.num_samples) + ")");
+  }
   // Exactly RunMemberCsr minus the vote flattening: the shared member
   // core keeps the sampling randomness and per-member FDET identical to
-  // Run() by construction.
-  ForEachMember(n, pool, [&](int64_t i) {
-    MemberArena& arena = t_member_arena;
-    EnsembleMemberBlocks& out = outputs[static_cast<size_t>(i)];
-    WallTimer timer;
-    const int64_t grow_before = arena.TotalGrowEvents();
-    Rng member_rng = root.Split(static_cast<uint64_t>(i));
-    Result<FdetResult> fdet = RunMemberCsrCore(
-        graph, *sampler, config_.fdet, &member_rng, &arena, &out.stats);
-    if (!fdet.ok()) {
-      statuses[static_cast<size_t>(i)] = fdet.status();
-      return;
-    }
-    out.blocks = std::move(fdet->blocks);
-    out.stats.arena_grow_events = arena.TotalGrowEvents() - grow_before;
-    out.stats.seconds = timer.ElapsedSeconds();
-  });
-  for (const Status& status : statuses) {
-    ENSEMFDET_RETURN_NOT_OK(status);
-  }
-  return outputs;
+  // member `member` of Run() by construction.
+  MemberArena& arena = t_member_arena;
+  EnsembleMemberBlocks out;
+  WallTimer timer;
+  const int64_t grow_before = arena.TotalGrowEvents();
+  Rng member_rng = Rng(config_.seed).Split(static_cast<uint64_t>(member));
+  ENSEMFDET_ASSIGN_OR_RETURN(
+      FdetResult fdet, RunMemberCsrCore(graph, *sampler, config_.fdet,
+                                        &member_rng, &arena, &out.stats));
+  out.blocks = std::move(fdet.blocks);
+  out.stats.arena_grow_events = arena.TotalGrowEvents() - grow_before;
+  out.stats.seconds = timer.ElapsedSeconds();
+  return out;
 }
 
 }  // namespace ensemfdet

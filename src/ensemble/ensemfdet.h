@@ -142,16 +142,17 @@ class EnsemFDet {
   Result<EnsemFDetReport> RunReference(const BipartiteGraph& graph,
                                        ThreadPool* pool = nullptr) const;
 
-  /// Runs the same N members as Run() (identical sampling randomness,
-  /// identical per-member FDET, same zero-materialization hot path and
-  /// worker arenas) but returns each member's raw block list instead of
-  /// aggregating votes — member i of the result is what member i of Run()
-  /// computed before vote accumulation. The streaming detector uses this
-  /// to cache per-component member outputs and re-aggregate them under a
-  /// cross-component truncation rule (see RunPartitionedFdet for the
-  /// single-detector precedent).
-  Result<std::vector<EnsembleMemberBlocks>> RunBlocks(
-      const CsrGraph& graph, ThreadPool* pool = nullptr) const;
+  /// Runs member `member` (in [0, N)) of Run() alone, on the calling
+  /// thread: the same sampling randomness (Rng(seed).Split(member)),
+  /// per-member FDET, zero-materialization hot path and worker arena, but
+  /// returns the member's raw block list instead of its votes. The
+  /// streaming detector schedules every (component, member) pair of a
+  /// report through this in one pass over the pool, caches the blocks per
+  /// component and re-aggregates them under a cross-component truncation
+  /// rule (see RunPartitionedFdet for the single-detector precedent).
+  /// Fails with InvalidArgument on a bad config or member index.
+  Result<EnsembleMemberBlocks> RunMember(const CsrGraph& graph,
+                                         int member) const;
 
  private:
   EnsemFDetConfig config_;

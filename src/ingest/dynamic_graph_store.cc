@@ -199,12 +199,6 @@ DynamicGraphStore::SortedDelta DynamicGraphStore::BuildSortedDelta() const {
     delta.adds.push_back({static_cast<UserId>(key >> 32),
                           static_cast<MerchantId>(key & 0xffffffffu)});
   }
-  delta.adds_by_merchant = delta.adds;
-  std::sort(delta.adds_by_merchant.begin(), delta.adds_by_merchant.end(),
-            [](const Edge& a, const Edge& b) {
-              if (a.merchant != b.merchant) return a.merchant < b.merchant;
-              return a.user < b.user;
-            });
   delta.dead.assign(dead_.begin(), dead_.end());
   std::sort(delta.dead.begin(), delta.dead.end());
   delta.touched_users.assign(touched_users_.begin(), touched_users_.end());
@@ -234,7 +228,6 @@ GraphVersion DynamicGraphStore::Publish() {
 
   SortedDelta delta = BuildSortedDelta();
   rep->adds = std::move(delta.adds);
-  rep->adds_by_merchant = std::move(delta.adds_by_merchant);
   rep->dead = std::move(delta.dead);
   rep->touched_users = std::move(delta.touched_users);
   rep->touched_merchants = std::move(delta.touched_merchants);

@@ -155,10 +155,9 @@ class DynamicGraphStore {
   /// producer shared by Publish() and SaveCheckpoint() so the ordering
   /// contract can never diverge between live versions and checkpoints.
   struct SortedDelta {
-    std::vector<Edge> adds;              ///< ascending (user, merchant)
-    std::vector<Edge> adds_by_merchant;  ///< ascending (merchant, user)
-    std::vector<EdgeId> dead;            ///< ascending
-    std::vector<UserId> touched_users;   ///< ascending
+    std::vector<Edge> adds;                     ///< ascending (user, merchant)
+    std::vector<EdgeId> dead;                   ///< ascending
+    std::vector<UserId> touched_users;          ///< ascending
     std::vector<MerchantId> touched_merchants;  ///< ascending
   };
   SortedDelta BuildSortedDelta() const;

@@ -1,6 +1,5 @@
 #include "ingest/graph_version.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -54,15 +53,8 @@ BipartiteGraph GraphVersion::Materialize() const {
 std::shared_ptr<const CsrGraph> GraphVersion::MaterializeCsr() const {
   const Rep& rep = *rep_;
   if (rep.adds.empty() && rep.dead.empty()) return rep.base;
-  {
-    std::lock_guard<std::mutex> lock(rep.memo_mu);
-    if (rep.memo_csr != nullptr) return rep.memo_csr;
-  }
-  auto csr =
-      std::make_shared<const CsrGraph>(CsrGraph::FromBipartite(Materialize()));
-  std::lock_guard<std::mutex> lock(rep.memo_mu);
-  if (rep.memo_csr == nullptr) rep.memo_csr = std::move(csr);
-  return rep.memo_csr;
+  return std::make_shared<const CsrGraph>(
+      CsrGraph::FromBipartite(Materialize()));
 }
 
 Status GraphVersion::SaveSnapshot(const std::string& path) const {
@@ -102,12 +94,6 @@ GraphVersion GraphVersion::FromSnapshotParts(
   rep->compacted = compacted;
   rep->base = std::move(base);
   rep->adds = std::move(adds);
-  rep->adds_by_merchant = rep->adds;
-  std::sort(rep->adds_by_merchant.begin(), rep->adds_by_merchant.end(),
-            [](const Edge& a, const Edge& b) {
-              if (a.merchant != b.merchant) return a.merchant < b.merchant;
-              return a.user < b.user;
-            });
   rep->dead = std::move(dead);
   rep->touched_users = std::move(touched_users);
   rep->touched_merchants = std::move(touched_merchants);

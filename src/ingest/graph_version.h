@@ -14,8 +14,7 @@
 // by tests/ingest_store_test.cc):
 //
 //  * `adds` is ascending (user, merchant), duplicate-free, and disjoint
-//    from base's edge set; `adds_by_merchant` is the same multiset sorted
-//    by (merchant, user).
+//    from base's edge set.
 //  * `dead` is ascending, duplicate-free, and every entry is a valid base
 //    EdgeId. An edge is never in `adds` and resurrected from `dead` at
 //    once — re-adding an evicted base edge clears it from `dead` instead.
@@ -23,14 +22,14 @@
 //    the adds row yields the live edge set in canonical (user, merchant)
 //    order — exactly the edge-id order GraphBuilder::Build would assign,
 //    which is what makes ContentFingerprint() representation-independent.
+//    That merge (ForEachEdge) is the one way to read the live edges.
 //
 // Thread-safety: a GraphVersion is an immutable value (cheap shared-state
 // copies); any number of threads may iterate one concurrently. The lazy
-// Materialize/fingerprint memos are internally synchronized.
+// fingerprint memo is internally synchronized.
 #ifndef ENSEMFDET_INGEST_GRAPH_VERSION_H_
 #define ENSEMFDET_INGEST_GRAPH_VERSION_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -120,59 +119,6 @@ class GraphVersion {
     // range cannot occur (store universes are fixed at construction).
   }
 
-  /// Visits the live merchant neighbors of user `u` (ascending).
-  /// O(degree + log|delta|).
-  template <typename Fn>
-  void ForEachUserNeighbor(UserId u, Fn&& fn) const {
-    const Rep& rep = *rep_;
-    const CsrGraph& base = *rep.base;
-    if (u < base.num_users()) {
-      std::span<const MerchantId> row = base.user_neighbors(u);
-      const EdgeId begin = base.user_edge_begin(u);
-      auto dead_it =
-          std::lower_bound(rep.dead.begin(), rep.dead.end(), begin);
-      for (size_t k = 0; k < row.size(); ++k) {
-        if (dead_it != rep.dead.end() &&
-            *dead_it == begin + static_cast<EdgeId>(k)) {
-          ++dead_it;
-          continue;
-        }
-        fn(row[k]);
-      }
-    }
-    auto add_it = std::lower_bound(
-        rep.adds.begin(), rep.adds.end(), u,
-        [](const Edge& e, UserId user) { return e.user < user; });
-    for (; add_it != rep.adds.end() && add_it->user == u; ++add_it) {
-      fn(add_it->merchant);
-    }
-  }
-
-  /// Visits the live user neighbors of merchant `v`.
-  /// O(degree · log|dead| + log|delta|).
-  template <typename Fn>
-  void ForEachMerchantNeighbor(MerchantId v, Fn&& fn) const {
-    const Rep& rep = *rep_;
-    const CsrGraph& base = *rep.base;
-    if (v < base.num_merchants()) {
-      std::span<const UserId> row = base.merchant_neighbors(v);
-      std::span<const EdgeId> ids = base.merchant_edge_ids(v);
-      for (size_t k = 0; k < row.size(); ++k) {
-        if (std::binary_search(rep.dead.begin(), rep.dead.end(), ids[k])) {
-          continue;
-        }
-        fn(row[k]);
-      }
-    }
-    auto add_it = std::lower_bound(
-        rep.adds_by_merchant.begin(), rep.adds_by_merchant.end(), v,
-        [](const Edge& e, MerchantId m) { return e.merchant < m; });
-    for (; add_it != rep.adds_by_merchant.end() && add_it->merchant == v;
-         ++add_it) {
-      fn(add_it->user);
-    }
-  }
-
   /// Stable content hash of the live edge set —
   /// `FingerprintGraph(Materialize())` by construction (both funnel
   /// through graph/fingerprint.h's FingerprintEdges), so cache keys built
@@ -184,8 +130,11 @@ class GraphVersion {
   /// Rebuilds the live edge set as an adjacency-list graph. O(num_edges).
   BipartiteGraph Materialize() const;
 
-  /// CSR form of the live edge set, lazily built once and memoized. When
-  /// the delta-log is empty the base itself is returned (zero cost).
+  /// CSR form of the live edge set. When the delta-log is empty the base
+  /// itself is returned (zero cost); otherwise it is rebuilt through
+  /// Materialize() on every call, O(num_edges). A caller that needs both
+  /// forms should Materialize() once and derive the CSR from that
+  /// (GraphRegistry::PublishVersion does).
   std::shared_ptr<const CsrGraph> MaterializeCsr() const;
 
   /// Serializes this version (base + delta-log + epoch) as a
@@ -214,15 +163,13 @@ class GraphVersion {
     int64_t num_merchants = 0;
     bool compacted = false;
     std::shared_ptr<const CsrGraph> base;
-    std::vector<Edge> adds;              // sorted (user, merchant)
-    std::vector<Edge> adds_by_merchant;  // same edges, sorted (merchant, user)
-    std::vector<EdgeId> dead;            // sorted base edge ids
+    std::vector<Edge> adds;    // sorted (user, merchant)
+    std::vector<EdgeId> dead;  // sorted base edge ids
     std::vector<UserId> touched_users;
     std::vector<MerchantId> touched_merchants;
 
-    // Lazy memos (synchronized; Rep is otherwise immutable post-publish).
+    // Lazy memo (synchronized; Rep is otherwise immutable post-publish).
     mutable std::mutex memo_mu;
-    mutable std::shared_ptr<const CsrGraph> memo_csr;
     mutable bool memo_fingerprint_set = false;
     mutable uint64_t memo_fingerprint = 0;
   };

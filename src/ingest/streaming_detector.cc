@@ -1,8 +1,10 @@
 #include "ingest/streaming_detector.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
+#include <span>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "common/hash.h"
@@ -22,7 +24,8 @@ namespace {
 // en bloc at the end of Detect() by exactly the amounts reported in
 // StreamingDetectionStats, so a registry delta taken across one report
 // equals that report's stats — stream-replay's narration reads the
-// registry and still prints bit-identical lines.
+// registry and still prints bit-identical lines. One span + histogram
+// per Detect() stage attributes a report's time (four spans a report).
 struct StreamMetrics {
   obs::Counter* reports_total;
   obs::Counter* components_total;
@@ -37,7 +40,10 @@ struct StreamMetrics {
   obs::Counter* cache_insertions_total;
   obs::Counter* cache_evictions_total;
   obs::Histogram* detect_seconds;
-  obs::Histogram* component_fdet_seconds;
+  obs::Histogram* label_seconds;
+  obs::Histogram* resolve_seconds;
+  obs::Histogram* members_seconds;
+  obs::Histogram* aggregate_seconds;
 };
 
 StreamMetrics& Metrics() {
@@ -56,7 +62,10 @@ StreamMetrics& Metrics() {
       reg.GetCounter("ensemfdet_stream_cache_insertions_total"),
       reg.GetCounter("ensemfdet_stream_cache_evictions_total"),
       reg.GetHistogram("ensemfdet_stream_detect_seconds"),
-      reg.GetHistogram("ensemfdet_stream_component_fdet_seconds"),
+      reg.GetHistogram("ensemfdet_stream_label_seconds"),
+      reg.GetHistogram("ensemfdet_stream_resolve_seconds"),
+      reg.GetHistogram("ensemfdet_stream_members_seconds"),
+      reg.GetHistogram("ensemfdet_stream_aggregate_seconds"),
   };
   return m;
 }
@@ -65,12 +74,130 @@ StreamMetrics& Metrics() {
 // canonical order, *global* ids. Global ids make structurally isomorphic
 // components at different node ids fingerprint differently — votes are
 // replayed onto specific nodes, so identity matters.
-uint64_t ComponentFingerprint(const std::vector<Edge>& edges) {
+uint64_t ComponentFingerprint(std::span<const Edge> edges) {
   static_assert(sizeof(Edge) == 2 * sizeof(uint32_t));
   uint64_t h = HashValue<uint64_t>(0x636f6d70u);  // domain tag "comp"
   h = HashCombine(h, HashValue(static_cast<int64_t>(edges.size())));
   h = HashCombine(h, Hash64(edges.data(), edges.size() * sizeof(Edge)));
   return h;
+}
+
+// One dirty component's share of the pair pass: its dense local graph,
+// the ensemble config seeded from its content, and one output slot per
+// member.
+struct DirtyComponent {
+  int32_t component = 0;
+  uint64_t fingerprint = 0;
+  std::span<const Edge> edges;  // global ids, canonical order
+  EnsemFDetConfig config;
+  std::vector<UserId> users;          // local id → global id
+  std::vector<MerchantId> merchants;  // local id → global id
+  CsrGraph csr;
+  Status status;
+  std::vector<EnsembleMemberBlocks> members;
+  std::vector<Status> member_status;
+};
+
+// Readies a dirty component for the pair pass. All randomness is
+// content-derived — same component content + same base seed → same member
+// outputs, whenever and wherever computed — and exploration is fixed-k
+// per component; the elbow applies globally after the merge
+// (RunPartitionedFdet's rule). Dense local ids index the sorted global
+// node lists: the edges arrive in canonical (user, merchant) order, so
+// the user list is already sorted; the merchant list needs one sort.
+void PrepareComponent(const EnsemFDetConfig& base, DirtyComponent* d) {
+  d->config = base;
+  d->config.seed = HashCombine(base.seed, d->fingerprint);
+  d->config.fdet.policy = TruncationPolicy::kFixedK;
+  d->config.fdet.fixed_k = base.fdet.max_blocks;
+  d->members.resize(static_cast<size_t>(base.num_samples));
+  d->member_status.assign(static_cast<size_t>(base.num_samples),
+                          Status::OK());
+
+  d->users.reserve(d->edges.size());
+  d->merchants.reserve(d->edges.size());
+  for (const Edge& e : d->edges) {
+    if (d->users.empty() || d->users.back() != e.user) {
+      d->users.push_back(e.user);
+    }
+    d->merchants.push_back(e.merchant);
+  }
+  std::sort(d->merchants.begin(), d->merchants.end());
+  d->merchants.erase(std::unique(d->merchants.begin(), d->merchants.end()),
+                     d->merchants.end());
+
+  GraphBuilder builder(static_cast<int64_t>(d->users.size()),
+                       static_cast<int64_t>(d->merchants.size()));
+  builder.Reserve(static_cast<int64_t>(d->edges.size()));
+  for (const Edge& e : d->edges) {
+    const auto lu = static_cast<UserId>(
+        std::lower_bound(d->users.begin(), d->users.end(), e.user) -
+        d->users.begin());
+    const auto lv = static_cast<MerchantId>(
+        std::lower_bound(d->merchants.begin(), d->merchants.end(),
+                         e.merchant) -
+        d->merchants.begin());
+    builder.AddEdge(lu, lv);
+  }
+  Result<BipartiteGraph> graph = builder.Build(DuplicatePolicy::kKeepFirst);
+  if (!graph.ok()) {
+    d->status = graph.status();
+    return;
+  }
+  d->csr = CsrGraph::FromBipartite(*graph);
+}
+
+// Runs member `i` of a dirty component and translates its block nodes to
+// global ids, dropping the (component-local) edge lists — aggregation
+// only consumes nodes and φ.
+void RunDirtyMember(DirtyComponent* d, int i) {
+  Result<EnsembleMemberBlocks> member =
+      EnsemFDet(d->config).RunMember(d->csr, i);
+  if (!member.ok()) {
+    d->member_status[static_cast<size_t>(i)] = member.status();
+    return;
+  }
+  for (DetectedBlock& block : member->blocks) {
+    for (UserId& u : block.users) u = d->users[u];
+    for (MerchantId& v : block.merchants) v = d->merchants[v];
+    block.edges.clear();
+    block.edges.shrink_to_fit();
+  }
+  d->members[static_cast<size_t>(i)] = *std::move(member);
+}
+
+// One member's share of the report in global ids: the distinct nodes of
+// its globally kept blocks, ascending, each with the max φ over the kept
+// blocks containing it.
+struct MemberVotes {
+  std::vector<UserId> users;
+  std::vector<double> user_weights;
+  std::vector<MerchantId> merchants;
+  std::vector<double> merchant_weights;
+  EnsemFDetReport::MemberStats stats;
+};
+
+// Reduces (node, φ) pairs listed in kept-block order to distinct nodes
+// and their max φ. The stable sort keeps each node's pairs in block
+// order, so every node sees the same first-touch-then-max sequence as an
+// epoch-stamped scan over the kept blocks would give it — with scratch
+// proportional to the kept blocks rather than to the id universe.
+template <typename Id>
+void ReduceMaxWeights(std::vector<std::pair<Id, double>>* pairs,
+                      std::vector<Id>* ids, std::vector<double>* weights) {
+  std::stable_sort(pairs->begin(), pairs->end(),
+                   [](const std::pair<Id, double>& a,
+                      const std::pair<Id, double>& b) {
+                     return a.first < b.first;
+                   });
+  for (const auto& [id, weight] : *pairs) {
+    if (!ids->empty() && ids->back() == id) {
+      weights->back() = std::max(weights->back(), weight);
+    } else {
+      ids->push_back(id);
+      weights->push_back(weight);
+    }
+  }
 }
 
 }  // namespace
@@ -132,67 +259,102 @@ void StreamingDetector::InsertCache(
   }
 }
 
-Result<std::shared_ptr<const StreamingDetector::ComponentEntry>>
-StreamingDetector::ComputeComponent(const std::vector<Edge>& edges,
-                                    uint64_t fingerprint,
-                                    ThreadPool* pool) const {
-  // Dense local ids: index into the sorted global node lists. The edges
-  // arrive in canonical (user, merchant) order, so the user list is
-  // already sorted; the merchant list needs one sort.
-  obs::TraceSpan span(Metrics().component_fdet_seconds, "component_fdet");
-  std::vector<UserId> users;
-  std::vector<MerchantId> merchants;
-  users.reserve(edges.size());
-  merchants.reserve(edges.size());
-  for (const Edge& e : edges) {
-    if (users.empty() || users.back() != e.user) users.push_back(e.user);
-    merchants.push_back(e.merchant);
+int64_t StreamingDetector::LabelComponents(const GraphVersion& version) {
+  const int64_t num_users = version.num_users();
+  const int64_t num_nodes = num_users + version.num_merchants();
+  ENSEMFDET_CHECK(num_nodes <= std::numeric_limits<uint32_t>::max())
+      << "packed node ids must fit 32 bits";
+  edges_.clear();
+  edges_.reserve(static_cast<size_t>(version.num_edges()));
+  version.ForEachEdge(
+      [this](UserId u, MerchantId v) { edges_.push_back({u, v}); });
+
+  if (node_stamp_.size() < static_cast<size_t>(num_nodes)) {
+    parent_.resize(static_cast<size_t>(num_nodes));
+    node_stamp_.resize(static_cast<size_t>(num_nodes), 0u);
   }
-  std::sort(merchants.begin(), merchants.end());
-  merchants.erase(std::unique(merchants.begin(), merchants.end()),
-                  merchants.end());
-
-  GraphBuilder builder(static_cast<int64_t>(users.size()),
-                       static_cast<int64_t>(merchants.size()));
-  builder.Reserve(static_cast<int64_t>(edges.size()));
-  for (const Edge& e : edges) {
-    const auto lu = static_cast<UserId>(
-        std::lower_bound(users.begin(), users.end(), e.user) -
-        users.begin());
-    const auto lv = static_cast<MerchantId>(
-        std::lower_bound(merchants.begin(), merchants.end(), e.merchant) -
-        merchants.begin());
-    builder.AddEdge(lu, lv);
+  if (label_.size() < static_cast<size_t>(num_users)) {
+    label_.resize(static_cast<size_t>(num_users));
   }
-  ENSEMFDET_ASSIGN_OR_RETURN(BipartiteGraph graph,
-                             builder.Build(DuplicatePolicy::kKeepFirst));
-  const CsrGraph csr = CsrGraph::FromBipartite(graph);
+  if (++stamp_ == 0) {
+    std::fill(node_stamp_.begin(), node_stamp_.end(), 0u);
+    stamp_ = 1;
+  }
+  const auto user_base = static_cast<uint32_t>(num_users);
+  auto touch = [this, user_base](uint32_t x) {
+    if (node_stamp_[x] == stamp_) return;
+    node_stamp_[x] = stamp_;
+    parent_[x] = x;
+    if (x < user_base) label_[x] = -1;
+  };
+  auto find = [this](uint32_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];  // path halving
+      x = parent_[x];
+    }
+    return x;
+  };
 
-  // All randomness is content-derived: same component content + same base
-  // seed → same member outputs, whenever/wherever computed. Exploration is
-  // fixed-k per component; the elbow applies globally after the merge
-  // (RunPartitionedFdet's rule).
-  EnsemFDetConfig sub = config_.ensemble;
-  sub.seed = HashCombine(config_.ensemble.seed, fingerprint);
-  sub.fdet.policy = TruncationPolicy::kFixedK;
-  sub.fdet.fixed_k = config_.ensemble.fdet.max_blocks;
-  ENSEMFDET_ASSIGN_OR_RETURN(std::vector<EnsembleMemberBlocks> members,
-                             EnsemFDet(sub).RunBlocks(csr, pool));
-
-  // Translate block nodes to global ids; drop the (component-local) edge
-  // lists — aggregation only consumes nodes and φ.
-  for (EnsembleMemberBlocks& member : members) {
-    for (DetectedBlock& block : member.blocks) {
-      for (UserId& u : block.users) u = users[u];
-      for (MerchantId& v : block.merchants) v = merchants[v];
-      block.edges.clear();
-      block.edges.shrink_to_fit();
+  // Union with min-linking: every root is the smallest packed id of its
+  // set, i.e. its component's smallest user (every edge has a user, and
+  // users pack below merchants).
+  for (const Edge& e : edges_) {
+    const uint32_t a = e.user;
+    const uint32_t b = user_base + e.merchant;
+    touch(a);
+    touch(b);
+    const uint32_t ra = find(a);
+    const uint32_t rb = find(b);
+    if (ra < rb) {
+      parent_[rb] = ra;
+    } else if (rb < ra) {
+      parent_[ra] = rb;
     }
   }
-  auto entry = std::make_shared<ComponentEntry>();
-  entry->members = std::move(members);
-  entry->num_edges = static_cast<int64_t>(edges.size());
-  return std::shared_ptr<const ComponentEntry>(std::move(entry));
+
+  // Component ids in canonical edge order: a component's first edge is
+  // one of its root's, so ids ascend with the smallest user — the
+  // smallest-packed-node order the global merge's tie-break relies on.
+  edge_comp_.resize(edges_.size());
+  comp_offsets_.assign(1, 0);
+  for (size_t k = 0; k < edges_.size(); ++k) {
+    const uint32_t root = find(edges_[k].user);
+    if (label_[root] < 0) {
+      label_[root] = static_cast<int32_t>(comp_offsets_.size() - 1);
+      comp_offsets_.push_back(0);
+    }
+    edge_comp_[k] = label_[root];
+    ++comp_offsets_[static_cast<size_t>(label_[root]) + 1];
+  }
+  const size_t num_components = comp_offsets_.size() - 1;
+
+  // Counting sort into one flat array; stable, so canonical order holds
+  // within each component.
+  std::partial_sum(comp_offsets_.begin(), comp_offsets_.end(),
+                   comp_offsets_.begin());
+  std::vector<int64_t> cursor(comp_offsets_.begin(),
+                              comp_offsets_.end() - 1);
+  comp_edges_.resize(edges_.size());
+  for (size_t k = 0; k < edges_.size(); ++k) {
+    comp_edges_[static_cast<size_t>(
+        cursor[static_cast<size_t>(edge_comp_[k])]++)] = edges_[k];
+  }
+
+  // Touched components (diagnostics): contain a dirty-frontier node. A
+  // node with no live edge this call carries an old stamp.
+  std::vector<char> touched(num_components, 0);
+  int64_t num_touched = 0;
+  auto mark = [&](uint32_t x) {
+    if (node_stamp_[x] != stamp_) return;
+    const int32_t c = label_[find(x)];
+    if (touched[static_cast<size_t>(c)] == 0) {
+      touched[static_cast<size_t>(c)] = 1;
+      ++num_touched;
+    }
+  };
+  for (UserId u : version.touched_users()) mark(u);
+  for (MerchantId v : version.touched_merchants()) mark(user_base + v);
+  return num_touched;
 }
 
 Result<StreamingReport> StreamingDetector::Detect(const GraphVersion& version,
@@ -201,204 +363,178 @@ Result<StreamingReport> StreamingDetector::Detect(const GraphVersion& version,
   // own root (stream_detect), even when fired from inside a windowed
   // replay job — per-report latency attribution needs per-report trees.
   obs::ScopedTraceContext trace_root(obs::NewRootContext());
-  obs::TraceSpan detect_span(Metrics().detect_seconds, "stream_detect");
+  StreamMetrics& metrics = Metrics();
+  obs::TraceSpan detect_span(metrics.detect_seconds, "stream_detect");
   WallTimer total_timer;
   const int64_t num_users = version.num_users();
   const int64_t num_merchants = version.num_merchants();
   const int n = config_.ensemble.num_samples;
 
-  // --- 1. Connected components over the merged base+delta view. Seeds are
-  // visited in packed-node order (users first), so component ids are
-  // ordered by smallest packed node id — a pure function of content, which
-  // the tie-break of the global block merge below relies on.
-  user_comp_.assign(static_cast<size_t>(num_users), -1);
-  merchant_comp_.assign(static_cast<size_t>(num_merchants), -1);
-  int32_t num_components = 0;
-  std::vector<int64_t> stack;
-  for (UserId u = 0; u < num_users; ++u) {
-    if (user_comp_[u] != -1) continue;
-    bool has_edge = false;
-    version.ForEachUserNeighbor(u, [&has_edge](MerchantId) {
-      has_edge = true;
-    });
-    if (!has_edge) continue;  // isolated in the live graph
-    const int32_t c = num_components++;
-    user_comp_[u] = c;
-    stack.clear();
-    stack.push_back(u);
-    while (!stack.empty()) {
-      const int64_t node = stack.back();
-      stack.pop_back();
-      if (node < num_users) {
-        version.ForEachUserNeighbor(
-            static_cast<UserId>(node), [&](MerchantId v) {
-              if (merchant_comp_[v] == -1) {
-                merchant_comp_[v] = c;
-                stack.push_back(num_users + v);
-              }
-            });
-      } else {
-        version.ForEachMerchantNeighbor(
-            static_cast<MerchantId>(node - num_users), [&](UserId uu) {
-              if (user_comp_[uu] == -1) {
-                user_comp_[uu] = c;
-                stack.push_back(uu);
-              }
-            });
-      }
-    }
-  }
-
-  // --- 2. Partition the live edges by component; canonical global order
-  // is preserved within each component.
-  std::vector<std::vector<Edge>> comp_edges(
-      static_cast<size_t>(num_components));
-  version.ForEachEdge([&](UserId u, MerchantId v) {
-    comp_edges[static_cast<size_t>(user_comp_[u])].push_back({u, v});
-  });
-
   StreamingReport out;
   out.epoch = version.epoch();
   out.fingerprint = version.ContentFingerprint();
+
+  // --- 1. Connected components of the merged base+delta view, ids in
+  // smallest-user order (a pure function of content), edges partitioned
+  // by component in canonical order.
+  {
+    obs::TraceSpan span(metrics.label_seconds, "stream_label");
+    out.stats.components_touched = LabelComponents(version);
+  }
+  const auto num_components =
+      static_cast<int32_t>(comp_offsets_.size() - 1);
   out.stats.components_total = num_components;
 
-  // Touched components (diagnostics): contain a dirty-frontier node.
-  {
-    std::unordered_set<int32_t> touched;
-    for (UserId u : version.touched_users()) {
-      if (user_comp_[u] != -1) touched.insert(user_comp_[u]);
-    }
-    for (MerchantId v : version.touched_merchants()) {
-      if (merchant_comp_[v] != -1) touched.insert(merchant_comp_[v]);
-    }
-    out.stats.components_touched = static_cast<int64_t>(touched.size());
-  }
-
-  // --- 3. Resolve every eligible component: cache replay or recompute.
+  // --- 2. Look up every eligible component before inserting anything,
+  // so this detection's inserts can never evict an entry it replays.
   std::vector<std::shared_ptr<const ComponentEntry>> entries(
       static_cast<size_t>(num_components));
-  for (int32_t c = 0; c < num_components; ++c) {
-    const std::vector<Edge>& edges = comp_edges[static_cast<size_t>(c)];
-    out.stats.edges_total += static_cast<int64_t>(edges.size());
-    if (static_cast<int64_t>(edges.size()) < config_.min_component_edges) {
-      continue;  // too small to host a fraud group; votes nothing
+  std::vector<DirtyComponent> dirty;
+  {
+    obs::TraceSpan span(metrics.resolve_seconds, "stream_resolve");
+    for (int32_t c = 0; c < num_components; ++c) {
+      const std::span<const Edge> edges(
+          comp_edges_.data() + comp_offsets_[static_cast<size_t>(c)],
+          static_cast<size_t>(comp_offsets_[static_cast<size_t>(c) + 1] -
+                              comp_offsets_[static_cast<size_t>(c)]));
+      out.stats.edges_total += static_cast<int64_t>(edges.size());
+      if (static_cast<int64_t>(edges.size()) < config_.min_component_edges) {
+        continue;  // too small to host a fraud group; votes nothing
+      }
+      ++out.stats.components_eligible;
+      const uint64_t fp = ComponentFingerprint(edges);
+      std::shared_ptr<const ComponentEntry> entry = LookupCache(fp);
+      if (entry != nullptr) {
+        ENSEMFDET_CHECK(static_cast<int>(entry->members.size()) == n);
+        ++out.stats.components_reused;
+        entries[static_cast<size_t>(c)] = std::move(entry);
+        continue;
+      }
+      DirtyComponent& d = dirty.emplace_back();
+      d.component = c;
+      d.fingerprint = fp;
+      d.edges = edges;
     }
-    ++out.stats.components_eligible;
-    const uint64_t fp = ComponentFingerprint(edges);
-    std::shared_ptr<const ComponentEntry> entry = LookupCache(fp);
-    if (entry == nullptr) {
-      ENSEMFDET_ASSIGN_OR_RETURN(entry, ComputeComponent(edges, fp, pool));
-      InsertCache(fp, entry);
+  }
+
+  // --- 3. Recompute the dirty components: local graphs in parallel, then
+  // every (component, member) pair in one work-stealing pass, largest
+  // components first, then the inserts in component order.
+  {
+    obs::TraceSpan span(metrics.members_seconds, "stream_members");
+    const auto num_dirty = static_cast<int64_t>(dirty.size());
+    ForEachOnPool(pool, num_dirty, [&](int64_t k) {
+      PrepareComponent(config_.ensemble, &dirty[static_cast<size_t>(k)]);
+    });
+    std::vector<size_t> order(dirty.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return dirty[a].edges.size() > dirty[b].edges.size();
+    });
+    ForEachOnPool(pool, num_dirty * n, [&](int64_t pair) {
+      DirtyComponent& d = dirty[order[static_cast<size_t>(pair / n)]];
+      if (d.status.ok()) RunDirtyMember(&d, static_cast<int>(pair % n));
+    });
+
+    for (const DirtyComponent& d : dirty) {
+      ENSEMFDET_RETURN_NOT_OK(d.status);
+      for (const Status& status : d.member_status) {
+        ENSEMFDET_RETURN_NOT_OK(status);
+      }
+    }
+    for (DirtyComponent& d : dirty) {
+      auto entry = std::make_shared<ComponentEntry>();
+      entry->members = std::move(d.members);
+      entry->num_edges = static_cast<int64_t>(d.edges.size());
+      InsertCache(d.fingerprint, entry);
       ++out.stats.components_recomputed;
-      out.stats.edges_recomputed += static_cast<int64_t>(edges.size());
-    } else {
-      ++out.stats.components_reused;
+      out.stats.edges_recomputed += entry->num_edges;
+      entries[static_cast<size_t>(d.component)] = std::move(entry);
     }
-    ENSEMFDET_CHECK(static_cast<int>(entry->members.size()) == n);
-    entries[static_cast<size_t>(c)] = std::move(entry);
   }
 
-  // --- 4. Aggregate per member index: merge every component's member-i
-  // blocks (descending φ, ties stable by component order — the entries
-  // vector is in component order), truncate once globally, vote the kept
-  // blocks' nodes. Strict member-order accumulation keeps the report
+  // --- 4. Aggregate per member index, in parallel: merge every
+  // component's member-i blocks (descending φ, ties stable by component
+  // order — the entries vector is in component order), truncate once
+  // globally, collect the kept blocks' nodes with their max φ. Votes are
+  // then added in strict member order, which keeps the report
   // bit-identical at any pool width, mirroring EnsemFDet::Run.
-  EnsemFDetReport& report = out.report;
-  report.num_samples = n;
-  report.votes = VoteTable(num_users, num_merchants);
-  report.weighted_user_votes.assign(static_cast<size_t>(num_users), 0.0);
-  report.weighted_merchant_votes.assign(static_cast<size_t>(num_merchants),
-                                        0.0);
-  report.members.resize(static_cast<size_t>(n));
-
-  std::vector<double> user_weight(static_cast<size_t>(num_users), 0.0);
-  std::vector<double> merchant_weight(static_cast<size_t>(num_merchants),
-                                      0.0);
-  std::vector<uint32_t> user_seen(static_cast<size_t>(num_users), 0);
-  std::vector<uint32_t> merchant_seen(static_cast<size_t>(num_merchants), 0);
-  uint32_t epoch = 0;
-
-  std::vector<const DetectedBlock*> merged;
-  std::vector<double> merged_scores;
-  std::vector<UserId> member_users;
-  std::vector<MerchantId> member_merchants;
-
-  for (int i = 0; i < n; ++i) {
-    merged.clear();
-    EnsemFDetReport::MemberStats agg;
-    for (const auto& entry : entries) {
-      if (entry == nullptr) continue;
-      const EnsembleMemberBlocks& member =
-          entry->members[static_cast<size_t>(i)];
-      agg.sample_users += member.stats.sample_users;
-      agg.sample_merchants += member.stats.sample_merchants;
-      agg.sample_edges += member.stats.sample_edges;
-      agg.seconds += member.stats.seconds;
-      agg.arena_grow_events += member.stats.arena_grow_events;
-      for (const DetectedBlock& block : member.blocks) {
-        merged.push_back(&block);
-      }
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const DetectedBlock* a, const DetectedBlock* b) {
-                       return a->score > b->score;
-                     });
-    merged_scores.clear();
-    merged_scores.reserve(merged.size());
-    for (const DetectedBlock* block : merged) {
-      merged_scores.push_back(block->score);
-    }
-    int keep;
-    if (config_.ensemble.fdet.policy == TruncationPolicy::kFixedK) {
-      keep = std::min<int>(config_.ensemble.fdet.fixed_k,
-                           static_cast<int>(merged.size()));
-    } else {
-      keep = AutoTruncationIndex(merged_scores);
-    }
-    agg.num_blocks = keep;
-    report.members[static_cast<size_t>(i)] = agg;
-
-    // Per-node weight: max φ over the kept blocks containing the node;
-    // first touch also collects it (same epoch-stamp trick as the
-    // ensemble hot loop, so the union needs no sort/unique pass).
-    ++epoch;
-    member_users.clear();
-    member_merchants.clear();
-    for (int k = 0; k < keep; ++k) {
-      const DetectedBlock& block = *merged[static_cast<size_t>(k)];
-      for (UserId u : block.users) {
-        if (user_seen[u] != epoch) {
-          user_seen[u] = epoch;
-          user_weight[u] = block.score;
-          member_users.push_back(u);
-        } else {
-          user_weight[u] = std::max(user_weight[u], block.score);
+  {
+    obs::TraceSpan span(metrics.aggregate_seconds, "stream_aggregate");
+    std::vector<MemberVotes> member_votes(static_cast<size_t>(n));
+    ForEachOnPool(pool, n, [&](int64_t i) {
+      MemberVotes& votes = member_votes[static_cast<size_t>(i)];
+      EnsemFDetReport::MemberStats& agg = votes.stats;
+      std::vector<const DetectedBlock*> merged;
+      for (const auto& entry : entries) {
+        if (entry == nullptr) continue;
+        const EnsembleMemberBlocks& member =
+            entry->members[static_cast<size_t>(i)];
+        agg.sample_users += member.stats.sample_users;
+        agg.sample_merchants += member.stats.sample_merchants;
+        agg.sample_edges += member.stats.sample_edges;
+        agg.seconds += member.stats.seconds;
+        agg.arena_grow_events += member.stats.arena_grow_events;
+        for (const DetectedBlock& block : member.blocks) {
+          merged.push_back(&block);
         }
       }
-      for (MerchantId v : block.merchants) {
-        if (merchant_seen[v] != epoch) {
-          merchant_seen[v] = epoch;
-          merchant_weight[v] = block.score;
-          member_merchants.push_back(v);
-        } else {
-          merchant_weight[v] = std::max(merchant_weight[v], block.score);
+      std::stable_sort(merged.begin(), merged.end(),
+                       [](const DetectedBlock* a, const DetectedBlock* b) {
+                         return a->score > b->score;
+                       });
+      int keep;
+      if (config_.ensemble.fdet.policy == TruncationPolicy::kFixedK) {
+        keep = std::min<int>(config_.ensemble.fdet.fixed_k,
+                             static_cast<int>(merged.size()));
+      } else {
+        std::vector<double> scores;
+        scores.reserve(merged.size());
+        for (const DetectedBlock* block : merged) {
+          scores.push_back(block->score);
+        }
+        keep = AutoTruncationIndex(scores);
+      }
+      agg.num_blocks = keep;
+
+      std::vector<std::pair<UserId, double>> user_pairs;
+      std::vector<std::pair<MerchantId, double>> merchant_pairs;
+      for (int k = 0; k < keep; ++k) {
+        const DetectedBlock& block = *merged[static_cast<size_t>(k)];
+        for (UserId u : block.users) user_pairs.push_back({u, block.score});
+        for (MerchantId v : block.merchants) {
+          merchant_pairs.push_back({v, block.score});
         }
       }
-    }
-    report.votes.AddVotes(member_users, member_merchants);
-    for (UserId u : member_users) {
-      report.weighted_user_votes[u] += user_weight[u];
-    }
-    for (MerchantId v : member_merchants) {
-      report.weighted_merchant_votes[v] += merchant_weight[v];
+      ReduceMaxWeights(&user_pairs, &votes.users, &votes.user_weights);
+      ReduceMaxWeights(&merchant_pairs, &votes.merchants,
+                       &votes.merchant_weights);
+    });
+
+    EnsemFDetReport& report = out.report;
+    report.num_samples = n;
+    report.votes = VoteTable(num_users, num_merchants);
+    report.weighted_user_votes.assign(static_cast<size_t>(num_users), 0.0);
+    report.weighted_merchant_votes.assign(static_cast<size_t>(num_merchants),
+                                          0.0);
+    report.members.reserve(static_cast<size_t>(n));
+    for (const MemberVotes& votes : member_votes) {
+      report.votes.AddVotes(votes.users, votes.merchants);
+      for (size_t k = 0; k < votes.users.size(); ++k) {
+        report.weighted_user_votes[votes.users[k]] += votes.user_weights[k];
+      }
+      for (size_t k = 0; k < votes.merchants.size(); ++k) {
+        report.weighted_merchant_votes[votes.merchants[k]] +=
+            votes.merchant_weights[k];
+      }
+      report.members.push_back(votes.stats);
     }
   }
-  report.total_seconds = total_timer.ElapsedSeconds();
+  out.report.total_seconds = total_timer.ElapsedSeconds();
 
   // Mirror the report's stats into the registry in one shot so a scrape
   // delta across this call reproduces them exactly (the narration
   // contract above).
-  StreamMetrics& metrics = Metrics();
   metrics.reports_total->Increment();
   metrics.components_total->Increment(out.stats.components_total);
   metrics.components_eligible_total->Increment(out.stats.components_eligible);

@@ -34,10 +34,16 @@
 // across seeds and all four sampling methods; the stream bench refuses to
 // emit BENCH_stream.json if it ever breaks.
 //
+// One Detect() runs in four stages (DESIGN.md "Dirty-scoped detection"):
+// label components by union-find over the live edges, resolve every
+// eligible component against the cache, run every (dirty component,
+// member) pair in one work-stealing pass over the pool, and aggregate the
+// members in parallel before adding their votes in member order.
+//
 // Thread-safety: a StreamingDetector instance is NOT thread-safe (one
 // mutable component cache + scratch); callers serialize Detect() per
-// instance. The ThreadPool argument parallelizes ensemble members *within*
-// the call, which does not affect results.
+// instance. The ThreadPool argument parallelizes the work *within* the
+// call, which does not affect results.
 #ifndef ENSEMFDET_INGEST_STREAMING_DETECTOR_H_
 #define ENSEMFDET_INGEST_STREAMING_DETECTOR_H_
 
@@ -65,7 +71,10 @@ struct StreamingDetectorConfig {
   /// everything with an edge.
   int64_t min_component_edges = 1;
   /// Component-report cache entries (LRU). Eviction never affects
-  /// results — an evicted clean component is simply recomputed.
+  /// results — an evicted clean component is simply recomputed. Within one
+  /// Detect() every eligible component is looked up before any recomputed
+  /// one is inserted (inserts go in component order), so an insert can
+  /// only evict entries that this detection does not replay.
   size_t component_cache_capacity = 4096;
 };
 
@@ -139,11 +148,11 @@ class StreamingDetector {
   void InsertCache(uint64_t fingerprint,
                    std::shared_ptr<const ComponentEntry> entry);
 
-  /// Runs the per-component ensemble for one dirty component whose edges
-  /// (global ids, canonical order) are given.
-  Result<std::shared_ptr<const ComponentEntry>> ComputeComponent(
-      const std::vector<Edge>& edges, uint64_t fingerprint,
-      ThreadPool* pool) const;
+  /// Labels the live graph's connected components (union-find over the
+  /// live edges) and partitions the edges by component into
+  /// comp_edges_ / comp_offsets_, canonical order within each. Returns the
+  /// number of components containing a dirty-frontier node.
+  int64_t LabelComponents(const GraphVersion& version);
 
   StreamingDetectorConfig config_;
 
@@ -156,9 +165,18 @@ class StreamingDetector {
   std::unordered_map<uint64_t, std::list<LruEntry>::iterator> cache_index_;
   StreamingCacheStats cache_stats_;
 
-  // Detect() scratch, reused across calls (sized to the universes).
-  std::vector<int32_t> user_comp_;
-  std::vector<int32_t> merchant_comp_;
+  // Labelling scratch, reused across calls. Indexed by packed node id
+  // (user u → u, merchant v → |U| + v; label_ by user only); an entry is
+  // valid only while node_stamp_ holds this call's stamp_, so no call
+  // clears them across the universe.
+  std::vector<uint32_t> parent_;
+  std::vector<int32_t> label_;
+  std::vector<uint32_t> node_stamp_;
+  uint32_t stamp_ = 0;
+  std::vector<Edge> edges_;           // live edges, canonical order
+  std::vector<int32_t> edge_comp_;    // component of edges_[k]
+  std::vector<Edge> comp_edges_;      // edges grouped by component
+  std::vector<int64_t> comp_offsets_;  // component c: [c, c + 1)
 };
 
 }  // namespace ensemfdet

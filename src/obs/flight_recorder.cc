@@ -1,9 +1,11 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "obs/trace.h"
 
@@ -82,6 +84,9 @@ struct FlightState {
   size_t mapped_bytes = 0;
   FileHeader* header = nullptr;
   char* names = nullptr;
+  // One claim per name-table slot: the first thread to reference a name
+  // mirrors it, everyone after skips (in-process only, not in the file).
+  std::unique_ptr<std::atomic<bool>[]> name_claimed;
   uint8_t* slots = nullptr;
   FlightRecorderOptions opts;
   std::atomic<uint32_t> next_slot{0};
@@ -194,13 +199,18 @@ uint8_t* AcquireSlot(FlightState* s) {
 }
 
 // Mirrors an interned name into the file's name table the first time a
-// record references it. Idempotent (same id always carries the same
-// bytes), so concurrent mirrors are harmless; a reader that races the
-// copy sees at worst a truncated name.
+// record references it. Exactly one thread claims and copies each slot,
+// so writers never race each other on its bytes; a reader of the file
+// that races the copy (a post-mortem dump) sees at worst a truncated
+// name.
 void EnsureNameMirrored(FlightState* s, uint32_t name_id) {
   if (name_id == 0 || name_id >= s->opts.max_names) return;
+  std::atomic<bool>& claimed = s->name_claimed[name_id];
+  if (claimed.load(std::memory_order_relaxed) ||
+      claimed.exchange(true, std::memory_order_relaxed)) {
+    return;
+  }
   char* slot = s->names + static_cast<size_t>(name_id) * kNameBytes;
-  if (slot[0] != '\0') return;
   const char* name = InternedSpanName(name_id);
   const size_t n = RawLen(name, kNameBytes - 1);
   RawCopy(slot, name, n);
@@ -312,6 +322,8 @@ Status InstallFlightRecorder(const FlightRecorderOptions& options) {
   state->opts = options;
   state->header = reinterpret_cast<FileHeader*>(state->base);
   state->names = reinterpret_cast<char*>(state->base + kHeaderBytes);
+  state->name_claimed =
+      std::make_unique<std::atomic<bool>[]>(options.max_names);
   state->slots = state->base + kHeaderBytes +
                  static_cast<size_t>(options.max_names) * kNameBytes;
 

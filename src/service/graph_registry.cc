@@ -44,11 +44,17 @@ Result<GraphSnapshot> GraphRegistry::PublishVersion(
   if (name.empty()) {
     return Status::InvalidArgument("registry: graph name must be non-empty");
   }
-  // Materialization and fingerprinting outside the lock; the CSR is the
-  // version's own memoized copy (shared with every other consumer of the
-  // version), the adjacency form is rebuilt from the same live edge set.
-  std::shared_ptr<const CsrGraph> csr = version.MaterializeCsr();
+  // Materialization and fingerprinting outside the lock, once per
+  // publish: the adjacency form is rebuilt from the live edge set and the
+  // CSR derived from it, except that a version with an empty delta-log
+  // shares its frozen base CSR as is.
   auto graph = std::make_shared<const BipartiteGraph>(version.Materialize());
+  const bool has_delta =
+      !version.delta_adds().empty() || !version.delta_dead().empty();
+  std::shared_ptr<const CsrGraph> csr =
+      has_delta ? std::make_shared<const CsrGraph>(
+                      CsrGraph::FromBipartite(*graph))
+                : version.MaterializeCsr();
   const uint64_t fingerprint = version.ContentFingerprint();
   // The representation-independence contract this API exists for.
   ENSEMFDET_DCHECK(FingerprintGraph(*graph) == fingerprint)

@@ -62,8 +62,8 @@ class GraphRegistry {
                                 std::shared_ptr<const BipartiteGraph> graph);
 
   /// Publishes the live edge set of an incremental-ingest GraphVersion
-  /// under `name`. The snapshot's CSR reuses the version's memoized
-  /// MaterializeCsr() (the frozen base itself when the delta-log is
+  /// under `name`. The live edge set is materialized once and the CSR
+  /// derived from it (the frozen base itself when the delta-log is
   /// empty), and the snapshot fingerprint is
   /// version.ContentFingerprint() — equal to FingerprintGraph of the
   /// materialized adjacency and CSR forms by the graph/fingerprint.h

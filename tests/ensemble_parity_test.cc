@@ -3,10 +3,13 @@
 // epoch-stamped weights) bit-exactly against the seed materializing path
 // (EnsemFDet::RunReference: SubgraphView children + id remaps), across
 // all four sampling methods, several seeds and ratios, and pool widths
-// 1 / 2 / 4. "Bit-exact" means: identical VoteTable contents, identical
-// weighted votes (== on doubles, no tolerance), and identical per-member
-// sample shapes and block counts.
+// 1 / 2 / 4, plus the per-member entry point (EnsemFDet::RunMember) the
+// streaming detector runs. "Bit-exact" means: identical VoteTable
+// contents, identical weighted votes (== on doubles, no tolerance), and
+// identical per-member sample shapes and block counts.
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "ensemble/ensemfdet.h"
+#include "ensemble/vote_table.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_builder.h"
 #include "sampling/sampler.h"
@@ -132,6 +136,66 @@ TEST(EnsembleParityTest, AllMethodsSeedsRatiosAndPoolWidths) {
       }
     }
   }
+}
+
+// The per-member entry point the streaming detector schedules: member i
+// run alone must be member i of the ensemble. Flattening each member's
+// blocks into votes (max φ per node) and adding them in member order must
+// reproduce the reference report bit for bit.
+TEST(EnsembleParityTest, RunMemberMatchesReference) {
+  const BipartiteGraph graph = TestGraph(/*noise_seed=*/47, false);
+  const CsrGraph csr = CsrGraph::FromBipartite(graph);
+  for (SampleMethod method : kAllMethods) {
+    EnsemFDetConfig cfg;
+    cfg.method = method;
+    cfg.num_samples = 6;
+    cfg.ratio = 0.3;
+    cfg.seed = 19;
+    cfg.fdet.max_blocks = 6;
+    EnsemFDet detector(cfg);
+    const EnsemFDetReport ref = detector.RunReference(graph).ValueOrDie();
+
+    EnsemFDetReport flat;
+    flat.num_samples = cfg.num_samples;
+    flat.votes = VoteTable(graph.num_users(), graph.num_merchants());
+    flat.weighted_user_votes.assign(static_cast<size_t>(graph.num_users()),
+                                    0.0);
+    flat.weighted_merchant_votes.assign(
+        static_cast<size_t>(graph.num_merchants()), 0.0);
+    for (int i = 0; i < cfg.num_samples; ++i) {
+      const EnsembleMemberBlocks member =
+          detector.RunMember(csr, i).ValueOrDie();
+      std::map<UserId, double> users;
+      std::map<MerchantId, double> merchants;
+      for (const DetectedBlock& block : member.blocks) {
+        for (UserId u : block.users) {
+          auto [it, fresh] = users.emplace(u, block.score);
+          if (!fresh) it->second = std::max(it->second, block.score);
+        }
+        for (MerchantId v : block.merchants) {
+          auto [it, fresh] = merchants.emplace(v, block.score);
+          if (!fresh) it->second = std::max(it->second, block.score);
+        }
+      }
+      std::vector<UserId> user_ids;
+      std::vector<MerchantId> merchant_ids;
+      for (const auto& [u, w] : users) {
+        user_ids.push_back(u);
+        flat.weighted_user_votes[u] += w;
+      }
+      for (const auto& [v, w] : merchants) {
+        merchant_ids.push_back(v);
+        flat.weighted_merchant_votes[v] += w;
+      }
+      flat.votes.AddVotes(user_ids, merchant_ids);
+      flat.members.push_back(member.stats);
+    }
+    ExpectIdenticalReports(flat, ref,
+                           std::string("RunMember ") +
+                               SampleMethodName(method));
+  }
+  EXPECT_FALSE(EnsemFDet(EnsemFDetConfig{}).RunMember(csr, -1).ok());
+  EXPECT_FALSE(EnsemFDet(EnsemFDetConfig{}).RunMember(csr, 80).ok());
 }
 
 TEST(EnsembleParityTest, CsrOverloadMatchesAdjacencyOverload) {

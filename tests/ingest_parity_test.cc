@@ -3,14 +3,26 @@
 // weighted votes, and per-member structural stats — across seeds, all
 // four sampling methods, cache evictions, and thread-pool widths
 // (wall-clock `seconds` and `arena_grow_events` are the only fields
-// allowed to differ; they measure the run, not the result).
+// allowed to differ; they measure the run, not the result). A serial
+// referee built from pieces outside the detector (ReferenceDetect below)
+// pins what the detector computes, not just that it agrees with itself.
+#include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "datagen/generator.h"
 #include "datagen/transaction_stream.h"
+#include "detect/fdet.h"
+#include "ensemble/ensemfdet.h"
+#include "ensemble/vote_table.h"
+#include "graph/components.h"
+#include "graph/csr_graph.h"
+#include "graph/graph_builder.h"
 #include "ingest/dynamic_graph_store.h"
 #include "ingest/streaming_detector.h"
 #include "obs/metrics.h"
@@ -47,6 +59,164 @@ void ExpectReportsIdentical(const EnsemFDetReport& a,
     ASSERT_EQ(a.members[i].num_blocks, b.members[i].num_blocks)
         << what << " member " << i;
   }
+}
+
+// The referee: StreamingDetector::Detect re-derived serially from pieces
+// the detector does not use. Components come from GraphVersion::
+// Materialize plus FindConnectedComponents, whose smallest-packed-id
+// order (edgeless singletons dropped) is the detector's component order.
+// Each component's member blocks come from the ensemble's per-member
+// entry point, which ensemble_parity_test pins against RunReference. The
+// aggregation is a plain copy of the serial merge, truncate and
+// epoch-stamped vote loop. Seeds follow the detector's documented rule,
+// HashCombine(seed, fingerprint of the component's canonical edges).
+uint64_t ReferenceComponentFingerprint(const std::vector<Edge>& edges) {
+  uint64_t h = HashValue<uint64_t>(0x636f6d70u);  // domain tag "comp"
+  h = HashCombine(h, HashValue(static_cast<int64_t>(edges.size())));
+  h = HashCombine(h, Hash64(edges.data(), edges.size() * sizeof(Edge)));
+  return h;
+}
+
+// One component's N members, block nodes in global ids.
+std::vector<EnsembleMemberBlocks> ReferenceComponentMembers(
+    const std::vector<Edge>& edges, const StreamingDetectorConfig& config) {
+  std::vector<UserId> users;
+  std::vector<MerchantId> merchants;
+  for (const Edge& e : edges) {
+    users.push_back(e.user);
+    merchants.push_back(e.merchant);
+  }
+  std::sort(users.begin(), users.end());
+  users.erase(std::unique(users.begin(), users.end()), users.end());
+  std::sort(merchants.begin(), merchants.end());
+  merchants.erase(std::unique(merchants.begin(), merchants.end()),
+                  merchants.end());
+  GraphBuilder builder(static_cast<int64_t>(users.size()),
+                       static_cast<int64_t>(merchants.size()));
+  for (const Edge& e : edges) {
+    builder.AddEdge(
+        static_cast<UserId>(
+            std::lower_bound(users.begin(), users.end(), e.user) -
+            users.begin()),
+        static_cast<MerchantId>(
+            std::lower_bound(merchants.begin(), merchants.end(),
+                             e.merchant) -
+            merchants.begin()));
+  }
+  const CsrGraph csr = CsrGraph::FromBipartite(
+      builder.Build(DuplicatePolicy::kKeepFirst).ValueOrDie());
+
+  EnsemFDetConfig sub = config.ensemble;
+  sub.seed = HashCombine(config.ensemble.seed,
+                         ReferenceComponentFingerprint(edges));
+  sub.fdet.policy = TruncationPolicy::kFixedK;
+  sub.fdet.fixed_k = config.ensemble.fdet.max_blocks;
+  const EnsemFDet ensemble(sub);
+  std::vector<EnsembleMemberBlocks> members;
+  for (int i = 0; i < sub.num_samples; ++i) {
+    EnsembleMemberBlocks member = ensemble.RunMember(csr, i).ValueOrDie();
+    for (DetectedBlock& block : member.blocks) {
+      for (UserId& u : block.users) u = users[u];
+      for (MerchantId& v : block.merchants) v = merchants[v];
+    }
+    members.push_back(std::move(member));
+  }
+  return members;
+}
+
+EnsemFDetReport ReferenceDetect(const GraphVersion& version,
+                                const StreamingDetectorConfig& config) {
+  const BipartiteGraph graph = version.Materialize();
+  const ConnectedComponents cc = FindConnectedComponents(graph);
+  std::vector<std::vector<Edge>> comp_edges(
+      static_cast<size_t>(cc.num_components()));
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    const Edge& edge = graph.edge(e);
+    comp_edges[static_cast<size_t>(cc.user_component[edge.user])].push_back(
+        edge);
+  }
+  std::vector<std::vector<EnsembleMemberBlocks>> components;
+  for (const std::vector<Edge>& edges : comp_edges) {
+    if (edges.empty() ||
+        static_cast<int64_t>(edges.size()) < config.min_component_edges) {
+      continue;
+    }
+    components.push_back(ReferenceComponentMembers(edges, config));
+  }
+
+  const int64_t num_users = version.num_users();
+  const int64_t num_merchants = version.num_merchants();
+  const int n = config.ensemble.num_samples;
+  EnsemFDetReport report;
+  report.num_samples = n;
+  report.votes = VoteTable(num_users, num_merchants);
+  report.weighted_user_votes.assign(static_cast<size_t>(num_users), 0.0);
+  report.weighted_merchant_votes.assign(static_cast<size_t>(num_merchants),
+                                        0.0);
+  report.members.resize(static_cast<size_t>(n));
+  std::vector<double> user_weight(static_cast<size_t>(num_users), 0.0);
+  std::vector<double> merchant_weight(static_cast<size_t>(num_merchants),
+                                      0.0);
+  std::vector<uint32_t> user_seen(static_cast<size_t>(num_users), 0);
+  std::vector<uint32_t> merchant_seen(static_cast<size_t>(num_merchants), 0);
+  uint32_t epoch = 0;
+  for (int i = 0; i < n; ++i) {
+    std::vector<const DetectedBlock*> merged;
+    EnsemFDetReport::MemberStats agg;
+    for (const auto& members : components) {
+      const EnsembleMemberBlocks& member = members[static_cast<size_t>(i)];
+      agg.sample_users += member.stats.sample_users;
+      agg.sample_merchants += member.stats.sample_merchants;
+      agg.sample_edges += member.stats.sample_edges;
+      for (const DetectedBlock& block : member.blocks) merged.push_back(&block);
+    }
+    std::stable_sort(merged.begin(), merged.end(),
+                     [](const DetectedBlock* a, const DetectedBlock* b) {
+                       return a->score > b->score;
+                     });
+    std::vector<double> scores;
+    for (const DetectedBlock* block : merged) scores.push_back(block->score);
+    const int keep =
+        config.ensemble.fdet.policy == TruncationPolicy::kFixedK
+            ? std::min<int>(config.ensemble.fdet.fixed_k,
+                            static_cast<int>(merged.size()))
+            : AutoTruncationIndex(scores);
+    agg.num_blocks = keep;
+    report.members[static_cast<size_t>(i)] = agg;
+
+    ++epoch;
+    std::vector<UserId> member_users;
+    std::vector<MerchantId> member_merchants;
+    for (int k = 0; k < keep; ++k) {
+      const DetectedBlock& block = *merged[static_cast<size_t>(k)];
+      for (UserId u : block.users) {
+        if (user_seen[u] != epoch) {
+          user_seen[u] = epoch;
+          user_weight[u] = block.score;
+          member_users.push_back(u);
+        } else {
+          user_weight[u] = std::max(user_weight[u], block.score);
+        }
+      }
+      for (MerchantId v : block.merchants) {
+        if (merchant_seen[v] != epoch) {
+          merchant_seen[v] = epoch;
+          merchant_weight[v] = block.score;
+          member_merchants.push_back(v);
+        } else {
+          merchant_weight[v] = std::max(merchant_weight[v], block.score);
+        }
+      }
+    }
+    report.votes.AddVotes(member_users, member_merchants);
+    for (UserId u : member_users) {
+      report.weighted_user_votes[u] += user_weight[u];
+    }
+    for (MerchantId v : member_merchants) {
+      report.weighted_merchant_votes[v] += merchant_weight[v];
+    }
+  }
+  return report;
 }
 
 // A fragmented campaign-day stream: sparse background (many small
@@ -216,6 +386,108 @@ TEST(IngestParityTest, CacheEvictionNeverChangesResults) {
     ExpectReportsIdentical(incremental.report, full.report, "evicting");
   }
   EXPECT_GT(warm.cache_stats().evictions, 0);
+}
+
+// Every report of a warm detector equals the serial referee's: all four
+// sampling methods plus reweighted RES (with debris pruning), at pool
+// widths 1 and 4, with a roomy cache and with a one-entry cache.
+TEST(IngestParityTest, MatchesSerialReferee) {
+  struct Case {
+    SampleMethod method;
+    bool reweight;
+    int64_t min_component_edges;
+  };
+  const Case cases[] = {{SampleMethod::kRandomEdge, false, 1},
+                        {SampleMethod::kOneSideUser, false, 1},
+                        {SampleMethod::kOneSideMerchant, false, 1},
+                        {SampleMethod::kTwoSide, false, 1},
+                        {SampleMethod::kRandomEdge, true, 3}};
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  const std::vector<Transaction> events = ParityStream(51);
+  for (const Case& c : cases) {
+    for (size_t capacity : {size_t{4096}, size_t{1}}) {
+      for (ThreadPool* pool : {&pool1, &pool4}) {
+        SCOPED_TRACE(std::string(SampleMethodName(c.method)) +
+                     (c.reweight ? " reweighted" : "") +
+                     " capacity=" + std::to_string(capacity) +
+                     " threads=" + std::to_string(pool->num_threads()));
+        DynamicGraphStoreConfig store_config;
+        store_config.num_users = 500;
+        store_config.num_merchants = 300;
+        store_config.window = 6000;
+        store_config.min_compaction_delta = 64;
+        auto store = DynamicGraphStore::Create(store_config).ValueOrDie();
+        StreamingDetectorConfig config = DetectorConfig(c.method, 51);
+        config.ensemble.reweight_edges = c.reweight;
+        config.min_component_edges = c.min_component_edges;
+        config.component_cache_capacity = capacity;
+        auto detector = StreamingDetector::Create(config).ValueOrDie();
+
+        size_t next = 0;
+        const size_t step = events.size() / 5;
+        while (next < events.size()) {
+          IngestBatch batch;
+          const size_t end = std::min(events.size(), next + step);
+          batch.transactions.assign(events.begin() + next,
+                                    events.begin() + end);
+          next = end;
+          ASSERT_TRUE(store.Apply(batch).ok());
+          GraphVersion version = store.Publish();
+          StreamingReport got = detector.Detect(version, pool).ValueOrDie();
+          ExpectReportsIdentical(got.report, ReferenceDetect(version, config),
+                                 "referee");
+        }
+      }
+    }
+  }
+}
+
+// A detection looks every eligible component up before it inserts any
+// recomputed one, so an insert can only evict entries the same detection
+// does not replay. Ten cached two-edge components fill a ten-entry
+// cache; one new component that sorts before them all must cost one
+// recompute, not a cascade of evictions through the ten.
+TEST(IngestParityTest, InsertsNeverEvictWhatTheSameDetectionReplays) {
+  DynamicGraphStoreConfig store_config;
+  store_config.num_users = 64;
+  store_config.num_merchants = 64;
+  store_config.window = 1000;
+  auto store = DynamicGraphStore::Create(store_config).ValueOrDie();
+  IngestBatch batch;
+  int64_t t = 0;
+  for (int k = 0; k < 10; ++k) {
+    const auto u = static_cast<UserId>(10 + k);
+    batch.transactions.push_back({t++, u, static_cast<MerchantId>(2 * k)});
+    batch.transactions.push_back(
+        {t++, u, static_cast<MerchantId>(2 * k + 1)});
+  }
+  ASSERT_TRUE(store.Apply(batch).ok());
+  GraphVersion first = store.Publish();
+
+  StreamingDetectorConfig config =
+      DetectorConfig(SampleMethod::kRandomEdge, 5);
+  config.component_cache_capacity = 10;
+  auto detector = StreamingDetector::Create(config).ValueOrDie();
+  StreamingReport r1 = detector.Detect(first, nullptr).ValueOrDie();
+  ASSERT_EQ(r1.stats.components_recomputed, 10);
+  ASSERT_EQ(detector.cache_size(), 10u);
+
+  IngestBatch extra;
+  extra.transactions.push_back({t++, 0, 40});
+  extra.transactions.push_back({t++, 0, 41});
+  ASSERT_TRUE(store.Apply(extra).ok());
+  GraphVersion second = store.Publish();
+  StreamingReport r2 = detector.Detect(second, nullptr).ValueOrDie();
+  EXPECT_EQ(r2.stats.components_eligible, 11);
+  EXPECT_EQ(r2.stats.components_reused, 10);
+  EXPECT_EQ(r2.stats.components_recomputed, 1);
+  EXPECT_EQ(detector.cache_size(), 10u);
+
+  auto fresh = StreamingDetector::Create(config).ValueOrDie();
+  ExpectReportsIdentical(r2.report,
+                         fresh.Detect(second, nullptr).ValueOrDie().report,
+                         "eviction order");
 }
 
 TEST(IngestParityTest, EmptyAndDegenerateVersions) {

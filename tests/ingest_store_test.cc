@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -228,8 +227,8 @@ TEST(DynamicGraphStoreTest, RandomizedParityWithNaiveWindowRebuild) {
     ASSERT_EQ(version.ContentFingerprint(), FingerprintGraph(expected))
         << "round " << round;
 
-    // Adjacency iteration agrees with the materialized graph on both
-    // sides (exercises dead-skipping and the adds merge).
+    // Merged iteration agrees with the materialized graph (exercises
+    // dead-skipping and the adds merge).
     std::vector<Edge> via_iter;
     version.ForEachEdge(
         [&](UserId u, MerchantId v) { via_iter.push_back({u, v}); });
@@ -237,17 +236,6 @@ TEST(DynamicGraphStoreTest, RandomizedParityWithNaiveWindowRebuild) {
     for (EdgeId e = 0; e < expected.num_edges(); ++e) {
       ASSERT_TRUE(via_iter[static_cast<size_t>(e)] == expected.edge(e));
     }
-    std::multiset<UserId> merchant_row_ref, merchant_row_got;
-    const MerchantId probe =
-        static_cast<MerchantId>(rng.NextBounded(20));
-    for (EdgeId e = 0; e < expected.num_edges(); ++e) {
-      if (expected.edge(e).merchant == probe) {
-        merchant_row_ref.insert(expected.edge(e).user);
-      }
-    }
-    version.ForEachMerchantNeighbor(
-        probe, [&](UserId u) { merchant_row_got.insert(u); });
-    ASSERT_EQ(merchant_row_got, merchant_row_ref);
   }
   EXPECT_GT(publishes_with_delta, 0) << "test never exercised the delta path";
   EXPECT_GT(store.stats().compactions, 0)

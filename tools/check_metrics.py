@@ -92,6 +92,11 @@ REQUIRED = {
     "ensemfdet_stream_components_reused_total": "counter",
     "ensemfdet_stream_edges_total": "counter",
     "ensemfdet_stream_detect_seconds": "histogram",
+    # One histogram per StreamingDetector::Detect stage.
+    "ensemfdet_stream_label_seconds": "histogram",
+    "ensemfdet_stream_resolve_seconds": "histogram",
+    "ensemfdet_stream_members_seconds": "histogram",
+    "ensemfdet_stream_aggregate_seconds": "histogram",
     "ensemfdet_wal_appends_total": "counter",
     "ensemfdet_wal_fsyncs_total": "counter",
     "ensemfdet_wal_segments_created_total": "counter",
