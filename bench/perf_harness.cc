@@ -260,7 +260,7 @@ Result<std::string> RunPeelingBench(const PeelingBenchOptions& options) {
 
   // Untimed reference runs establish parity before anything is measured.
   CsrGraph csr = CsrGraph::FromBipartite(graph);
-  const PeelResult adjacency_peel = PeelDensestBlock(graph, density);
+  const PeelResult adjacency_peel = PeelIncidentSubgraph(graph, density);
   const PeelResult csr_peel = PeelDensestBlockCsr(csr, density);
   ENSEMFDET_ASSIGN_OR_RETURN(const FdetResult adjacency_fdet,
                              RunFdetReference(graph, fdet_config));

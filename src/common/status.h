@@ -7,9 +7,9 @@
 #ifndef ENSEMFDET_COMMON_STATUS_H_
 #define ENSEMFDET_COMMON_STATUS_H_
 
+#include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 
 namespace ensemfdet {
 
@@ -96,30 +96,23 @@ template <typename T>
 class Result {
  public:
   /// Implicit from a value: `return some_t;`.
-  Result(T value) : repr_(std::move(value)) {}  // NOLINT(runtime/explicit)
+  Result(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)
   /// Implicit from an error status: `return Status::IOError(...);`.
   /// An OK status carries no value; storing it would make ok() lie, so it
   /// degrades to an Internal error.
   Result(Status status)  // NOLINT(runtime/explicit)
-      : repr_(std::in_place_type<Status>,
-              status.ok()
-                  ? Status::Internal("Result constructed from OK Status")
-                  : std::move(status)) {}
+      : status_(status.ok()
+                    ? Status::Internal("Result constructed from OK Status")
+                    : std::move(status)) {}
 
-  bool ok() const { return std::holds_alternative<T>(repr_); }
+  bool ok() const { return value_.has_value(); }
 
-  const Status& status() const {
-    static const Status kOk;
-    // get_if (not get) so the value-holding path never touches the Status
-    // alternative — also sidesteps a GCC 12 -O3 maybe-uninitialized false
-    // positive on std::variant.
-    const Status* error = std::get_if<Status>(&repr_);
-    return error != nullptr ? *error : kOk;
-  }
+  /// OK when a value is held, the error otherwise.
+  const Status& status() const { return status_; }
 
-  const T& value() const& { return std::get<T>(repr_); }
-  T& value() & { return std::get<T>(repr_); }
-  T&& value() && { return std::get<T>(std::move(repr_)); }
+  const T& value() const& { return value_.value(); }
+  T& value() & { return value_.value(); }
+  T&& value() && { return std::move(value_).value(); }
 
   /// Returns the value, aborting the process if this Result holds an error.
   const T& ValueOrDie() const&;
@@ -131,7 +124,8 @@ class Result {
   T* operator->() { return &value(); }
 
  private:
-  std::variant<T, Status> repr_;
+  Status status_;  // OK iff value_ holds a value
+  std::optional<T> value_;
 };
 
 namespace internal {

@@ -17,11 +17,12 @@ PeelHeap::PeelHeap(int64_t capacity) { EnsureCapacity(capacity); }
 bool PeelHeap::EnsureCapacity(int64_t capacity) {
   bool grew = false;
   if (pos_.size() < static_cast<size_t>(capacity)) {
+    pos_.reserve(static_cast<size_t>(capacity));
     pos_.resize(static_cast<size_t>(capacity), -1);
     grew = true;
   }
-  // Reserved, not resized: only the extent a peel actually uses is ever
-  // touched, so a parent-sized capacity costs no resident memory.
+  // Reserved, not resized: a peel touches only as many entries as it has
+  // participants.
   if (run_.capacity() < static_cast<size_t>(capacity)) {
     run_.reserve(static_cast<size_t>(capacity));
     grew = true;
@@ -35,6 +36,13 @@ bool PeelHeap::EnsureCapacity(int64_t capacity) {
     grew = true;
   }
   return grew;
+}
+
+int64_t PeelHeap::CapacityBytes() const {
+  return static_cast<int64_t>(run_.capacity() * sizeof(Entry) +
+                              heap_.capacity() * sizeof(Entry) +
+                              pos_.capacity() * sizeof(int64_t) +
+                              radix_counts_.capacity() * sizeof(uint32_t));
 }
 
 void PeelHeap::Place(size_t i, Entry e) {
@@ -205,12 +213,15 @@ void PeelHeap::AddTo(int64_t id, double delta) {
 
 namespace {
 
-// Resize-to-fit helpers that count growth events: vectors only grow, new
-// elements are value-initialized (zero), so the PeelScratch all-zero
-// invariants hold over the freshly prepared extent.
+// Resize-to-fit helpers that count growth events: vectors only grow, to
+// exactly the size asked for (no doubling slack — an arena is sized by
+// the largest member it serves), and new elements are value-initialized
+// (zero), so the PeelScratch all-zero invariants hold over the freshly
+// grown extent.
 template <typename T>
 void GrowTo(std::vector<T>* v, int64_t n, int64_t* grew) {
   if (v->size() < static_cast<size_t>(n)) {
+    v->reserve(static_cast<size_t>(n));
     v->resize(static_cast<size_t>(n));
     ++*grew;
   }
@@ -224,146 +235,146 @@ void ReserveTo(std::vector<T>* v, int64_t n, int64_t* grew) {
   }
 }
 
+template <typename T>
+int64_t Bytes(const std::vector<T>& v) {
+  return static_cast<int64_t>(v.capacity() * sizeof(T));
+}
+
+// Sizes the per-slot view rows and the member node lists for a mask of
+// `mask_size` edges, and the parent-merchant map for a graph of
+// `parent_merchants` merchants.
+void GrowViewRows(PeelScratch* s, int64_t mask_size, int64_t parent_merchants) {
+  int64_t grew = 0;
+  GrowTo(&s->view_weight_of, mask_size, &grew);
+  GrowTo(&s->view_user_dense, mask_size, &grew);
+  GrowTo(&s->view_merchant_dense, mask_size, &grew);
+  GrowTo(&s->view_merchant_slot, mask_size, &grew);
+  GrowTo(&s->view_alive, mask_size, &grew);
+  GrowTo(&s->view_alive_m, mask_size, &grew);
+  GrowTo(&s->view_user_mass, mask_size, &grew);
+  GrowTo(&s->view_merchant_mass, mask_size, &grew);
+  GrowTo(&s->view_merchant_user_dense, mask_size, &grew);
+  ReserveTo(&s->member_users, mask_size, &grew);
+  ReserveTo(&s->member_merchants, mask_size, &grew);
+  ReserveTo(&s->member_user_offsets, mask_size + 1, &grew);
+  GrowTo(&s->parent_merchant_member, parent_merchants, &grew);
+  s->grow_events += grew;
+}
+
+// Sizes every node-indexed array for a view of `users` + `merchants`
+// member nodes.
+void GrowNodeArrays(PeelScratch* s, int64_t users, int64_t merchants) {
+  const int64_t nodes = users + merchants;
+  int64_t grew = 0;
+  GrowTo(&s->user_degree, users, &grew);
+  GrowTo(&s->merchant_degree, merchants, &grew);
+  GrowTo(&s->col_weight, merchants, &grew);
+  GrowTo(&s->priority, nodes, &grew);
+  GrowTo(&s->removed, nodes, &grew);
+  GrowTo(&s->gone, nodes, &grew);
+  if (s->heap.EnsureCapacity(nodes)) ++grew;
+  ReserveTo(&s->incident_users, users, &grew);
+  ReserveTo(&s->incident_merchants, merchants, &grew);
+  ReserveTo(&s->removal_order, nodes, &grew);
+  GrowTo(&s->in_block_user, users, &grew);
+  GrowTo(&s->in_block_merchant, merchants, &grew);
+  GrowTo(&s->member_merchant_offsets, merchants + 1, &grew);
+  s->grow_events += grew;
+}
+
 }  // namespace
 
-int64_t PeelScratch::Prepare(const CsrGraph& graph) {
-  const int64_t users = graph.num_users();
-  const int64_t merchants = graph.num_merchants();
-  const int64_t nodes = graph.num_nodes();
-  const int64_t edges = graph.num_edges();
-  int64_t grew = 0;
-  GrowTo(&user_degree, users, &grew);
-  GrowTo(&merchant_degree, merchants, &grew);
-  GrowTo(&col_weight, merchants, &grew);
-  GrowTo(&edge_mass, edges, &grew);
-  GrowTo(&priority, nodes, &grew);
-  GrowTo(&edge_alive, edges, &grew);
-  GrowTo(&removed, nodes, &grew);
-  GrowTo(&gone, nodes, &grew);
-  if (heap.EnsureCapacity(nodes)) ++grew;
-  GrowTo(&dense_of, nodes, &grew);
-  ReserveTo(&dense_to_node, nodes, &grew);
-  ReserveTo(&incident_users, users, &grew);
-  ReserveTo(&incident_merchants, merchants, &grew);
-  ReserveTo(&removal_order, nodes, &grew);
-  ReserveTo(&fdet_remaining, edges, &grew);
-  ReserveTo(&fdet_next, edges, &grew);
-  GrowTo(&in_block_user, users, &grew);
-  GrowTo(&in_block_merchant, merchants, &grew);
-  grow_events += grew;
-  return grew;
-}
-
-int64_t PeelScratch::PrepareView(int64_t mask_size) {
-  // Residual-view buffers are sized by the member's mask, not the parent
-  // graph (a sampled mask is ~S·|E|), and only paid for by callers that
-  // actually set a view — a plain full-graph FDET never touches them.
-  int64_t grew = 0;
-  ReserveTo(&view_mask, mask_size, &grew);
-  GrowTo(&view_weight_of, mask_size, &grew);
-  GrowTo(&view_user_dense, mask_size, &grew);
-  GrowTo(&view_merchant_dense, mask_size, &grew);
-  GrowTo(&view_merchant_slot, mask_size, &grew);
-  GrowTo(&view_alive, mask_size, &grew);
-  GrowTo(&view_alive_m, mask_size, &grew);
-  GrowTo(&view_user_mass, mask_size, &grew);
-  GrowTo(&view_merchant_mass, mask_size, &grew);
-  GrowTo(&view_merchant_user_dense, mask_size, &grew);
-  ReserveTo(&member_users, mask_size, &grew);
-  ReserveTo(&member_merchants, mask_size, &grew);
-  GrowTo(&member_user_begin, mask_size, &grew);
-  GrowTo(&member_user_end, mask_size, &grew);
-  GrowTo(&member_merchant_begin, mask_size, &grew);
-  GrowTo(&member_merchant_end, mask_size, &grew);
-  grow_events += grew;
-  return grew;
-}
-
-CsrPeeler::CsrPeeler(const CsrGraph& graph)
-    : graph_(&graph), owned_(std::make_unique<PeelScratch>()) {
-  s_ = owned_.get();
-  s_->Prepare(graph);
+int64_t PeelScratch::CapacityBytes() const {
+  return Bytes(user_degree) + Bytes(merchant_degree) + Bytes(col_weight) +
+         Bytes(priority) + Bytes(removed) + Bytes(gone) +
+         heap.CapacityBytes() + Bytes(incident_users) +
+         Bytes(incident_merchants) + Bytes(removal_order) +
+         Bytes(in_block_user) + Bytes(in_block_merchant) +
+         Bytes(view_weight_of) + Bytes(view_user_dense) +
+         Bytes(view_merchant_dense) + Bytes(view_merchant_slot) +
+         Bytes(view_alive) + Bytes(view_alive_m) + Bytes(view_user_mass) +
+         Bytes(view_merchant_mass) + Bytes(view_merchant_user_dense) +
+         Bytes(member_users) + Bytes(member_merchants) +
+         Bytes(member_user_offsets) + Bytes(member_merchant_offsets) +
+         Bytes(parent_merchant_member);
 }
 
 CsrPeeler::CsrPeeler(const CsrGraph& graph, PeelScratch* scratch)
     : graph_(&graph), s_(scratch) {
   ENSEMFDET_DCHECK(scratch != nullptr);
-  s_->Prepare(graph);
 }
 
 void CsrPeeler::SetResidualView(std::span<const EdgeId> mask) {
   const CsrGraph& graph = *graph_;
   PeelScratch& s = *s_;
-  s.PrepareView(static_cast<int64_t>(mask.size()));
-  s.view_mask.assign(mask.begin(), mask.end());
-  const int64_t mask_size = static_cast<int64_t>(s.view_mask.size());
+  ENSEMFDET_CHECK(static_cast<int64_t>(mask.size()) <= kMaxViewEdges)
+      << "residual view of " << mask.size() << " edges";
+  view_mask_ = mask;
+  const int64_t mask_size = static_cast<int64_t>(mask.size());
+  GrowViewRows(&s, mask_size, graph.num_merchants());
 
   // Pass 1 — the one pass of parent-array gathers per member: edge
   // weights, member-dense user numbering (the ascending mask groups by
   // user, so users are runs and come out ascending), user rows, and
-  // distinct-merchant collection (borrowing the all-zero merchant_degree
-  // array for counts).
+  // distinct-merchant collection with per-merchant counts.
   s.member_users.clear();
-  s.incident_merchants.clear();
+  s.member_merchants.clear();
+  s.member_user_offsets.clear();
   for (int64_t i = 0; i < mask_size; ++i) {
-    const EdgeId e = s.view_mask[static_cast<size_t>(i)];
+    const EdgeId e = mask[static_cast<size_t>(i)];
     ENSEMFDET_DCHECK(e >= 0 && e < graph.num_edges());
-    ENSEMFDET_DCHECK(i == 0 || s.view_mask[static_cast<size_t>(i - 1)] < e);
+    ENSEMFDET_DCHECK(i == 0 || mask[static_cast<size_t>(i - 1)] < e);
     s.view_weight_of[static_cast<size_t>(i)] = graph.edge_weight(e);
     const UserId u = graph.edge_user(e);
     if (s.member_users.empty() || s.member_users.back() != u) {
       ENSEMFDET_DCHECK(s.member_users.empty() || s.member_users.back() < u);
-      if (!s.member_users.empty()) {
-        s.member_user_end[s.member_users.size() - 1] = i;
-      }
-      s.member_user_begin[s.member_users.size()] = i;
+      s.member_user_offsets.push_back(static_cast<uint32_t>(i));
       s.member_users.push_back(u);
     }
     s.view_user_dense[static_cast<size_t>(i)] =
         static_cast<int32_t>(s.member_users.size() - 1);
     const MerchantId v = graph.edge_merchant(e);
-    if (s.merchant_degree[v]++ == 0) s.incident_merchants.push_back(v);
+    if (s.parent_merchant_member[v]++ == 0) s.member_merchants.push_back(v);
   }
-  if (!s.member_users.empty()) {
-    s.member_user_end[s.member_users.size() - 1] = mask_size;
-  }
+  s.member_user_offsets.push_back(static_cast<uint32_t>(mask_size));
   const int64_t num_member_users =
       static_cast<int64_t>(s.member_users.size());
   s.member_user_count = num_member_users;
+  GrowNodeArrays(&s, num_member_users,
+                 static_cast<int64_t>(s.member_merchants.size()));
 
   // Member-dense merchant numbering (ascending parent order) and
-  // counting-sorted merchant rows; `dense_of` holds the parent→member
-  // merchant map just long enough to fill the per-slot arrays.
-  std::sort(s.incident_merchants.begin(), s.incident_merchants.end());
-  s.member_merchants.assign(s.incident_merchants.begin(),
-                            s.incident_merchants.end());
-  int64_t offset = 0;
+  // counting-sorted merchant rows. While filling, offsets[j + 1] is
+  // merchant j's cursor, starting at its row begin and ending at its row
+  // end — which is merchant j + 1's begin, so the offsets come out final.
+  std::sort(s.member_merchants.begin(), s.member_merchants.end());
+  uint32_t offset = 0;
+  s.member_merchant_offsets[0] = 0;
   for (size_t j = 0; j < s.member_merchants.size(); ++j) {
     const MerchantId v = s.member_merchants[j];
-    s.dense_of[v] = static_cast<int32_t>(j);
-    s.member_merchant_begin[j] = offset;
-    s.member_merchant_end[j] = offset;  // fill cursor, ends at begin + count
-    offset += s.merchant_degree[v];
+    s.member_merchant_offsets[j + 1] = offset;
+    offset += s.parent_merchant_member[v];
+    s.parent_merchant_member[v] = static_cast<uint32_t>(j);
   }
   for (int64_t i = 0; i < mask_size; ++i) {
-    const MerchantId v =
-        graph.edge_merchant(s.view_mask[static_cast<size_t>(i)]);
-    const int32_t j = s.dense_of[v];
-    const int64_t slot = s.member_merchant_end[j]++;
+    const MerchantId v = graph.edge_merchant(mask[static_cast<size_t>(i)]);
+    const uint32_t j = s.parent_merchant_member[v];
+    const uint32_t slot = s.member_merchant_offsets[j + 1]++;
     s.view_merchant_dense[static_cast<size_t>(i)] =
         static_cast<int32_t>(num_member_users + j);
     s.view_merchant_slot[static_cast<size_t>(i)] = slot;
-    s.view_merchant_user_dense[static_cast<size_t>(slot)] =
-        s.view_user_dense[static_cast<size_t>(i)];
+    s.view_merchant_user_dense[slot] = s.view_user_dense[static_cast<size_t>(i)];
   }
-  for (MerchantId v : s.member_merchants) s.merchant_degree[v] = 0;
+  for (MerchantId v : s.member_merchants) s.parent_merchant_member[v] = 0;
+  std::fill_n(s.view_alive.begin(), mask_size, uint8_t{1});
+  std::fill_n(s.view_alive_m.begin(), mask_size, uint8_t{1});
 }
 
 PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
                                       double weight_scale, bool keep_trace) {
   PeelResult result;
   PeelScratch& s = *s_;
-  const int64_t mask_size = static_cast<int64_t>(s.view_mask.size());
+  const int64_t mask_size = static_cast<int64_t>(view_mask_.size());
   if (mask_size == 0) return result;
   const int64_t num_users = s.member_user_count;  // member-space Uₘ
 
@@ -376,8 +387,8 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
   // Streaming initialization over the slot-aligned view, entirely in
   // member-dense id space: the alive slots of the ascending mask ARE the
   // residual list in ascending order, so every first-touch and
-  // accumulation below happens in exactly the order the list-driven Peel
-  // (and the seed peeler) performs it, and the member numbering is
+  // accumulation below happens in exactly the order the seed peeler
+  // performs it on the compacted residual, and the member numbering is
   // monotone in parent id, so all id-based tie-breaks agree too. The
   // alive-bitmap scan is the dispatched kernel (integer — exact at every
   // ISA level); the per-slot work stays scalar and in slot order.
@@ -481,8 +492,9 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
     s.removal_order.push_back(victim);
 
     if (victim < num_users) {
-      for (int64_t idx = s.member_user_begin[victim];
-           idx < s.member_user_end[victim]; ++idx) {
+      for (uint32_t idx = s.member_user_offsets[static_cast<size_t>(victim)];
+           idx < s.member_user_offsets[static_cast<size_t>(victim) + 1];
+           ++idx) {
         if (!s.view_alive[static_cast<size_t>(idx)]) continue;
         const int32_t other = s.view_merchant_dense[static_cast<size_t>(idx)];
         if (s.removed[static_cast<size_t>(other)]) continue;  // edge dead
@@ -492,8 +504,9 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
       }
     } else {
       const int64_t mj = victim - num_users;
-      for (int64_t idx = s.member_merchant_begin[mj];
-           idx < s.member_merchant_end[mj]; ++idx) {
+      for (uint32_t idx = s.member_merchant_offsets[static_cast<size_t>(mj)];
+           idx < s.member_merchant_offsets[static_cast<size_t>(mj) + 1];
+           ++idx) {
         if (!s.view_alive_m[static_cast<size_t>(idx)]) continue;
         const int32_t mu =
             s.view_merchant_user_dense[static_cast<size_t>(idx)];
@@ -547,214 +560,18 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
   return result;
 }
 
-PeelResult CsrPeeler::Peel(std::span<const EdgeId> residual_edges,
-                           const DensityConfig& config, PeelNodeScope scope,
-                           double weight_scale, bool keep_trace) {
-  PeelResult result;
-  const CsrGraph& graph = *graph_;
-  PeelScratch& s = *s_;
-  const int64_t num_users = graph.num_users();
-  const int64_t num_merchants = graph.num_merchants();
-  const int64_t total_nodes = num_users + num_merchants;
-  if (total_nodes == 0 || residual_edges.empty()) return result;
-
-  s.incident_users.clear();
-  s.incident_merchants.clear();
-
-  if (scope == PeelNodeScope::kIncidentOnly) {
-    // Sparse initialization: O(|residual|) instead of O(|U| + |V|). The
-    // degree arrays are all-zero between calls (restored on exit), so a
-    // first touch identifies each incident node exactly once; users come
-    // out ascending for free because edge_user is nondecreasing over the
-    // canonical (ascending) edge order.
-    for (EdgeId e : residual_edges) {
-      ENSEMFDET_DCHECK(e >= 0 && e < graph.num_edges());
-      s.edge_alive[static_cast<size_t>(e)] = 1;
-      const UserId u = graph.edge_user(e);
-      const MerchantId v = graph.edge_merchant(e);
-      if (s.user_degree[u]++ == 0) {
-        ENSEMFDET_DCHECK(s.incident_users.empty() ||
-                         s.incident_users.back() < u);
-        s.incident_users.push_back(u);
-        s.priority[u] = 0.0;
-      }
-      if (s.merchant_degree[v]++ == 0) {
-        s.incident_merchants.push_back(v);
-        s.priority[static_cast<size_t>(num_users) + v] = 0.0;
-      }
-    }
-    std::sort(s.incident_merchants.begin(), s.incident_merchants.end());
-    // Merchant column weights from residual degrees — exactly the
-    // entry-time degrees PeelDensestBlock sees on the compacted subgraph.
-    for (MerchantId v : s.incident_merchants) {
-      s.col_weight[v] =
-          MerchantColumnWeight(static_cast<double>(s.merchant_degree[v]),
-                               config);
-    }
-  } else {
-    // kAllNodes: every node participates, isolated ones included; the
-    // incident lists therefore enumerate the whole graph.
-    std::fill(s.user_degree.begin(),
-              s.user_degree.begin() + static_cast<size_t>(num_users), 0);
-    std::fill(s.merchant_degree.begin(),
-              s.merchant_degree.begin() + static_cast<size_t>(num_merchants),
-              0);
-    for (EdgeId e : residual_edges) {
-      ENSEMFDET_DCHECK(e >= 0 && e < graph.num_edges());
-      s.edge_alive[static_cast<size_t>(e)] = 1;
-      ++s.user_degree[graph.edge_user(e)];
-      ++s.merchant_degree[graph.edge_merchant(e)];
-    }
-    for (int64_t v = 0; v < num_merchants; ++v) {
-      s.col_weight[static_cast<size_t>(v)] = MerchantColumnWeight(
-          static_cast<double>(s.merchant_degree[static_cast<size_t>(v)]),
-          config);
-    }
-    std::fill(s.priority.begin(),
-              s.priority.begin() + static_cast<size_t>(total_nodes), 0.0);
-    for (int64_t u = 0; u < num_users; ++u) {
-      s.incident_users.push_back(static_cast<UserId>(u));
-    }
-    for (int64_t v = 0; v < num_merchants; ++v) {
-      s.incident_merchants.push_back(static_cast<MerchantId>(v));
-    }
-  }
-
-  // Per-edge suspiciousness mass plus node priorities and total mass,
-  // accumulated in ascending-EdgeId order (== the compacted subgraph's
-  // edge-id order) so every floating-point sum matches the adjacency-list
-  // peeler bit for bit. `weight * scale` with scale == 1.0 is exact, so
-  // the unscaled path is unchanged bitwise.
-  double mass = 0.0;
-  for (EdgeId e : residual_edges) {
-    const double w = (graph.edge_weight(e) * weight_scale) *
-                     s.col_weight[graph.edge_merchant(e)];
-    s.edge_mass[static_cast<size_t>(e)] = w;
-    s.priority[graph.edge_user(e)] += w;
-    s.priority[static_cast<size_t>(num_users) + graph.edge_merchant(e)] += w;
-    mass += w;
-  }
-
-  // Heap over parent packed node ids via per-peel dense slots: slots are
-  // handed out in ascending packed order (users then merchants), so
-  // (key, slot) ties break exactly like (key, node) — the seed tie-break
-  // — while the sift chain works in residual-sized arrays.
-  ENSEMFDET_DCHECK(s.heap.empty());
-  s.dense_to_node.clear();
-  for (UserId u : s.incident_users) {
-    const int64_t dense = static_cast<int64_t>(s.dense_to_node.size());
-    s.dense_of[u] = static_cast<int32_t>(dense);
-    s.dense_to_node.push_back(u);
-    s.heap.Append(dense, s.priority[u]);
-    s.removed[u] = 0;
-  }
-  for (MerchantId v : s.incident_merchants) {
-    const int64_t id = num_users + v;
-    const int64_t dense = static_cast<int64_t>(s.dense_to_node.size());
-    s.dense_of[static_cast<size_t>(id)] = static_cast<int32_t>(dense);
-    s.dense_to_node.push_back(id);
-    s.heap.Append(dense, s.priority[static_cast<size_t>(id)]);
-    s.removed[static_cast<size_t>(id)] = 0;
-  }
-  s.heap.Build();
-  int64_t alive = s.heap.size();
-  const int64_t peel_steps = alive;
-
-  s.removal_order.clear();
-  if (keep_trace) result.trace.reserve(static_cast<size_t>(peel_steps));
-
-  double best_phi = -1.0;
-  int64_t best_prefix = 0;  // number of removals before the best state
-
-  for (int64_t t = 0; t < peel_steps; ++t) {
-    const double phi =
-        alive > 0 ? std::max(0.0, mass) / static_cast<double>(alive) : 0.0;
-    if (keep_trace) result.trace.push_back(phi);
-    if (phi > best_phi) {
-      best_phi = phi;
-      best_prefix = t;
-    }
-
-    // Mass exhaustion (see PeelAliveInView): best_prefix can never move
-    // once mass ≤ 0 — skip the zero-key tail unless tracing.
-    if (!keep_trace && mass <= 0.0) break;
-
-    const int64_t victim =
-        s.dense_to_node[static_cast<size_t>(s.heap.PopMin())];
-    s.removed[static_cast<size_t>(victim)] = 1;
-    --alive;
-    s.removal_order.push_back(victim);
-
-    if (victim < num_users) {
-      const UserId u = static_cast<UserId>(victim);
-      const EdgeId row_begin = graph.user_edge_begin(u);
-      const auto neighbors = graph.user_neighbors(u);
-      for (size_t k = 0; k < neighbors.size(); ++k) {
-        const EdgeId e = row_begin + static_cast<EdgeId>(k);
-        if (!s.edge_alive[static_cast<size_t>(e)]) continue;
-        const int64_t other = num_users + neighbors[k];
-        if (s.removed[static_cast<size_t>(other)]) continue;  // edge dead
-        const double w = s.edge_mass[static_cast<size_t>(e)];
-        mass -= w;
-        s.heap.AddTo(s.dense_of[static_cast<size_t>(other)], -w);
-      }
-    } else {
-      const MerchantId v = static_cast<MerchantId>(victim - num_users);
-      const auto edge_ids = graph.merchant_edge_ids(v);
-      const auto neighbors = graph.merchant_neighbors(v);
-      for (size_t k = 0; k < neighbors.size(); ++k) {
-        const EdgeId e = edge_ids[k];
-        if (!s.edge_alive[static_cast<size_t>(e)]) continue;
-        const UserId u = neighbors[k];
-        if (s.removed[u]) continue;
-        const double w = s.edge_mass[static_cast<size_t>(e)];
-        mass -= w;
-        s.heap.AddTo(s.dense_of[u], -w);
-      }
-    }
-  }
-
-  if (!s.heap.empty()) s.heap.Clear();  // mass-exhausted early exit
-  s.peel_pops += static_cast<int64_t>(s.removal_order.size());
-  s.peel_sorted_pops += s.heap.sorted_pops();
-
-  // The best block is every participating node not removed in the first
-  // `best_prefix` deletions. `gone` is all-zero between calls; stamp the
-  // prefix, extract (incident lists are ascending), then clear the same
-  // prefix.
-  for (int64_t t = 0; t < best_prefix; ++t) {
-    s.gone[static_cast<size_t>(s.removal_order[static_cast<size_t>(t)])] = 1;
-  }
-  for (UserId u : s.incident_users) {
-    if (!s.gone[u]) result.users.push_back(u);
-  }
-  for (MerchantId v : s.incident_merchants) {
-    if (!s.gone[static_cast<size_t>(num_users) + v]) {
-      result.merchants.push_back(v);
-    }
-  }
-  result.score = best_phi;
-  if (keep_trace) result.removal_order = s.removal_order;
-
-  // Restore the arena invariants: alive mask and residual degrees zero,
-  // gone prefix cleared, heap empty — ready for reuse.
-  for (EdgeId e : residual_edges) s.edge_alive[static_cast<size_t>(e)] = 0;
-  for (UserId u : s.incident_users) s.user_degree[u] = 0;
-  for (MerchantId v : s.incident_merchants) s.merchant_degree[v] = 0;
-  for (int64_t t = 0; t < best_prefix; ++t) {
-    s.gone[static_cast<size_t>(s.removal_order[static_cast<size_t>(t)])] = 0;
-  }
-  ENSEMFDET_DCHECK(s.heap.empty());
-  return result;
-}
-
 PeelResult PeelDensestBlockCsr(const CsrGraph& graph,
                                const DensityConfig& config, bool keep_trace) {
-  CsrPeeler peeler(graph);
   std::vector<EdgeId> all(static_cast<size_t>(graph.num_edges()));
   std::iota(all.begin(), all.end(), EdgeId{0});
-  return peeler.Peel(all, config, PeelNodeScope::kAllNodes,
-                     /*weight_scale=*/1.0, keep_trace);
+  PeelScratch scratch;
+  CsrPeeler peeler(graph, &scratch);
+  peeler.SetResidualView(all);
+  PeelResult result =
+      peeler.PeelAliveInView(config, /*weight_scale=*/1.0, keep_trace);
+  for (UserId& u : result.users) u = scratch.member_users[u];
+  for (MerchantId& v : result.merchants) v = scratch.member_merchants[v];
+  return result;
 }
 
 }  // namespace ensemfdet

@@ -6,24 +6,24 @@
 // This is what makes iterated FDET cheap: each block iteration used to
 // rebuild a subgraph (sort + two hash maps + two CSR constructions) just
 // to peel it once; CsrPeeler reuses one set of flat scratch arrays
-// (degrees, priorities, removal flags, an indexed min-heap) across
-// iterations and walks the shared neighbor arrays directly.
+// (degrees, priorities, removal flags, a peel queue) across iterations.
 //
-// The scratch arrays live in a PeelScratch arena that callers may own
-// externally: the ensemble hot loop keeps one arena per worker thread so
-// running FDET on thousands of sampled residuals performs zero arena
-// allocations after warm-up (DESIGN.md §"Ensemble hot loop"). For a
-// sampled member, SetResidualView() regroups the member's edge mask into
-// compact slot-aligned rows (edge ids, endpoints, weights — one pass of
-// parent gathers per member), after which PeelAliveInView() runs every
-// FDET iteration touching only residual-sized, mostly L1-resident arrays:
-// per-call initialization is O(|mask|) streaming — not O(|U| + |V|) and
-// not O(parent-degree sums) — so peeling a sampled residual of a huge
-// shared parent costs what peeling the equivalent materialized child
-// would, without building it.
+// There is one peel path. SetResidualView() regroups an edge mask — a
+// sampled ensemble member's, or every edge for whole-graph FDET — into
+// compact slot-aligned rows in member-dense node ids (one pass of parent
+// gathers), after which PeelAliveInView() runs every FDET iteration
+// touching only residual-sized, mostly L1-resident arrays: per-call
+// initialization is O(|mask|) streaming — not O(|U| + |V|) and not
+// O(parent-degree sums) — so peeling a sampled residual of a huge shared
+// parent costs what peeling the equivalent materialized child would,
+// without building it. The scratch arrays live in a PeelScratch arena
+// sized by the view, which callers may own externally: the ensemble hot
+// loop keeps one arena per worker thread, so running FDET on thousands of
+// sampled residuals performs zero arena allocations after warm-up
+// (DESIGN.md §"Ensemble hot loop").
 //
-// Bit-exactness contract: for the same residual edge set, Peel() and
-// PeelAliveInView() perform the identical floating-point operations in
+// Bit-exactness contract: for the same residual edge set,
+// PeelAliveInView() performs the identical floating-point operations in
 // the identical order as the seed PeelDensestBlock over the compacted
 // subgraph (same per-node accumulation order, same heap insertion order,
 // same smaller-id tie-breaks under the order-isomorphic id relabeling),
@@ -34,7 +34,7 @@
 #define ENSEMFDET_DETECT_CSR_PEELER_H_
 
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -118,6 +118,11 @@ class PeelHeap {
   /// Pops served from the sorted run since the last Build().
   int64_t sorted_pops() const { return sorted_pops_; }
 
+  /// Id capacity (the extent of the position index).
+  int64_t capacity() const { return static_cast<int64_t>(pos_.size()); }
+  /// Bytes of buffer capacity the queue holds.
+  int64_t CapacityBytes() const;
+
  private:
   static constexpr size_t kArity = 4;
   static constexpr int kRadixBits = 11;
@@ -158,57 +163,42 @@ class PeelHeap {
 
 }  // namespace detail
 
-/// Which nodes take part in a peel (and therefore count in φ's
-/// denominator and appear in the removal order).
-enum class PeelNodeScope {
-  /// Every node of the graph, isolated ones included — the semantics of
-  /// the standalone adjacency-list PeelDensestBlock.
-  kAllNodes,
-  /// Only nodes incident to at least one residual edge — the semantics of
-  /// FDET's per-iteration compacted subgraphs (isolated nodes never make
-  /// it into a rebuilt subgraph).
-  kIncidentOnly,
-};
+/// The most edges one residual view holds: each edge adds at most one
+/// user and one merchant, so every member-dense packed id (Uₘ + j) fits
+/// int32 and every row offset fits uint32.
+inline constexpr int64_t kMaxViewEdges =
+    std::numeric_limits<int32_t>::max() / 2;
 
 /// Externally ownable arena of every buffer CsrPeeler (and the masked FDET
-/// driver, detect/fdet.h) needs: degree/priority/flag arrays, the peel
-/// heap, the residual-view rows, and the FDET work lists. Prepare() grows
-/// buffers to fit a graph and counts growth events, so a warm arena reused
-/// across many peels reports zero further allocations — the number the
-/// ensemble bench surfaces as `arena.grow_events`.
+/// driver, detect/fdet.h) needs, sized by the *member* it serves — the
+/// residual view's edge count and its Uₘ + Vₘ incident nodes — never by
+/// the parent graph, save one 32-bit word per parent merchant. Buffers
+/// grow to the largest view served and never shrink; `grow_events` counts
+/// growths, so a warm arena reused across many peels reports zero further
+/// allocations — the number the ensemble bench surfaces as
+/// `arena.grow_events`.
 ///
-/// Invariants between uses (established by Prepare on fresh storage and
-/// restored by every peel / masked-FDET run): `edge_alive`, `user_degree`,
-/// `merchant_degree`, `gone`, `in_block_user`, `in_block_merchant` are
-/// all-zero over their prepared extent and the heap is empty. Buffers
-/// never shrink; an arena sized for one graph is warm for any graph with
-/// no more users/merchants/edges.
+/// Invariants between uses (established on fresh storage and restored by
+/// every peel / view build): `user_degree`, `merchant_degree`, `gone`,
+/// `in_block_user`, `in_block_merchant` and `parent_merchant_member` are
+/// all-zero over their extent and the heap is empty.
 ///
 /// @note Thread-safety: an arena is mutable state — one per thread.
 struct PeelScratch {
+  /// Node-indexed peel arrays in member-dense ids: users 0..Uₘ-1,
+  /// merchants 0..Vₘ-1, packed ids (priority, removed, gone, heap) Uₘ + j.
   std::vector<int64_t> user_degree;
   std::vector<int64_t> merchant_degree;
   std::vector<double> col_weight;
-  std::vector<double> edge_mass;  // per-edge weight·col_weight, by EdgeId
   std::vector<double> priority;
-  std::vector<uint8_t> edge_alive;
   std::vector<uint8_t> removed;
   std::vector<uint8_t> gone;
   detail::PeelHeap heap;
-  /// Nodes incident to the current residual (kIncidentOnly bookkeeping):
-  /// users in ascending id order, merchants sorted after collection.
+  /// Nodes incident to the current peel's alive edges, ascending.
   std::vector<UserId> incident_users;
   std::vector<MerchantId> incident_merchants;
   std::vector<int64_t> removal_order;
-  /// Per-peel dense heap-slot mapping: `dense_of[node]` (valid only for
-  /// the current peel's participants, overwritten per build) and its
-  /// compact inverse. Participant counts are bounded by int32 — a single
-  /// peel over >2^31 incident nodes is out of scope.
-  std::vector<int32_t> dense_of;
-  std::vector<int64_t> dense_to_node;
-  /// Residual work lists + block-membership flags for RunFdetCsrMasked.
-  std::vector<EdgeId> fdet_remaining;
-  std::vector<EdgeId> fdet_next;
+  /// Block-membership flags for the FDET driver's edge removal.
   std::vector<uint8_t> in_block_user;
   std::vector<uint8_t> in_block_merchant;
   /// Residual view (CsrPeeler::SetResidualView): the member's edge mask
@@ -221,11 +211,10 @@ struct PeelScratch {
   /// The member numbering is monotone in parent id on each side, so
   /// member-space heap tie-breaks, sorts, and ascending outputs map
   /// 1:1 onto parent-space ones.
-  std::vector<EdgeId> view_mask;             ///< slot → parent EdgeId (asc)
   std::vector<double> view_weight_of;        ///< edge weight per mask slot
   std::vector<int32_t> view_user_dense;      ///< member user id per slot
   std::vector<int32_t> view_merchant_dense;  ///< packed Uₘ+j per slot
-  std::vector<int64_t> view_merchant_slot;   ///< mask slot → merchant slot
+  std::vector<uint32_t> view_merchant_slot;  ///< mask slot → merchant slot
   std::vector<uint8_t> view_alive;           ///< per mask slot (driver-owned)
   std::vector<uint8_t> view_alive_m;         ///< same flag per merchant slot
   std::vector<double> view_user_mass;        ///< per-peel mass per mask slot
@@ -233,15 +222,18 @@ struct PeelScratch {
   std::vector<int32_t> view_merchant_user_dense;  ///< member user per m-slot
   std::vector<UserId> member_users;          ///< member user → parent user
   std::vector<MerchantId> member_merchants;  ///< member merchant → parent
-  std::vector<int64_t> member_user_begin;    ///< member user → first slot
-  std::vector<int64_t> member_user_end;
-  std::vector<int64_t> member_merchant_begin;  ///< member merchant → m-slots
-  std::vector<int64_t> member_merchant_end;
+  /// Row offsets: member user mu owns mask slots [off[mu], off[mu + 1]),
+  /// member merchant j owns merchant slots [off[j], off[j + 1]).
+  std::vector<uint32_t> member_user_offsets;
+  std::vector<uint32_t> member_merchant_offsets;
+  /// Parent merchant → in-view degree, then member id, while a view is
+  /// being built; all-zero otherwise.
+  std::vector<uint32_t> parent_merchant_member;
   /// Uₘ of the current view (member merchant packed ids start here).
   int64_t member_user_count = 0;
 
-  /// Cumulative count of buffer growth events across all Prepare() calls;
-  /// stays flat once the arena is warm for the graphs it serves.
+  /// Cumulative count of buffer growth events; stays flat once the arena
+  /// is warm for the views it serves.
   int64_t grow_events = 0;
   /// Peel-queue pops, and those served from the sorted run, accumulated
   /// per peel and not yet flushed to the metrics registry (the FDET
@@ -249,77 +241,46 @@ struct PeelScratch {
   int64_t peel_pops = 0;
   int64_t peel_sorted_pops = 0;
 
-  /// Sizes every core peel/FDET buffer for `graph` (growing, never
-  /// shrinking) and returns the number of buffers that had to grow (0
-  /// when already warm). Residual-view buffers are NOT touched — they are
-  /// grown lazily by SetResidualView via PrepareView, sized by the mask,
-  /// so non-ensemble peels never pay for them.
-  int64_t Prepare(const CsrGraph& graph);
-
-  /// Sizes the residual-view buffers for a mask of `mask_size` edges
-  /// (growing, never shrinking); counted in `grow_events` like Prepare.
-  int64_t PrepareView(int64_t mask_size);
+  /// Bytes of buffer capacity the arena holds.
+  int64_t CapacityBytes() const;
 };
 
-/// Reusable in-place peeler over one immutable CsrGraph.
+/// Peeler over the residual view of one immutable CsrGraph.
 ///
 /// @note Thread-safety: the referenced CsrGraph is shared and immutable,
-///       but the peeler's scratch arena is mutable — use one instance (or
-///       one external arena) per thread. Every Peel() reuses the buffers.
+///       but the scratch arena is mutable — one arena per thread.
 class CsrPeeler {
  public:
-  /// Borrows `graph` (which must outlive the peeler) and owns a private
-  /// arena sized for it — O(|U| + |V| + |E|) allocation, once.
-  explicit CsrPeeler(const CsrGraph& graph);
-
   /// Borrows `graph` and an external arena (both must outlive the peeler).
-  /// The arena is Prepare()d for `graph`; repeated construction against a
-  /// warm arena performs no allocation — the ensemble hot loop's mode.
+  /// Construction allocates nothing; buffers grow per view.
   CsrPeeler(const CsrGraph& graph, PeelScratch* scratch);
 
-  /// Peels the subgraph formed by `residual_edges` (ascending EdgeIds,
-  /// duplicate-free) down to nothing, returning the argmax-φ prefix block
-  /// exactly like PeelDensestBlock. The residual set itself is not
-  /// modified; node ids in the result are the graph's own (no local
-  /// remapping). Every edge weight is scaled by `weight_scale` on the fly
-  /// — bit-identical to peeling a materialized subgraph whose stored
-  /// weights were pre-multiplied by the same factor (Theorem 1's 1/p
-  /// reweighting without a reweighted copy); pass 1.0 for no scaling.
-  ///
-  /// Both trailing parameters are deliberately explicit (no defaults, no
-  /// convenience overload): a double/bool pair with defaults would let
-  /// `Peel(edges, cfg, scope, 1.0/ratio)` silently bind the scale to
-  /// keep_trace (or vice versa) with no diagnostic.
-  ///
-  /// @pre  `residual_edges` is sorted ascending with no duplicates.
-  /// @post result.users / result.merchants are ascending; an empty
-  ///       residual (or empty graph) yields an empty block with score 0.
-  PeelResult Peel(std::span<const EdgeId> residual_edges,
-                  const DensityConfig& config, PeelNodeScope scope,
-                  double weight_scale, bool keep_trace);
-
-  /// Caches `mask` (the member's sampled edge set, ascending,
-  /// duplicate-free) as the residual view: one pass of parent gathers
-  /// renumbers the incident nodes into member-dense ids and builds
-  /// slot-aligned endpoint/weight rows in the arena — no allocation when
-  /// warm, no hash maps, no graph construction. Subsequent
-  /// PeelAliveInView() calls run entirely over these compact arrays.
+  /// Caches `mask` (ascending, duplicate-free parent edge ids, at most
+  /// kMaxViewEdges of them; borrowed — it must outlive the view) as the
+  /// residual view: one pass of parent gathers renumbers the incident
+  /// nodes into member-dense ids and builds slot-aligned endpoint/weight
+  /// rows in the arena — no allocation when warm, no hash maps, no graph
+  /// construction. Every slot starts alive. Subsequent PeelAliveInView()
+  /// calls run entirely over these compact arrays.
   void SetResidualView(std::span<const EdgeId> mask);
 
-  /// View-driven peel of the *alive subset* of the residual view: peels
-  /// the subgraph formed by the mask slots whose `view_alive` flag is
-  /// set, with kIncidentOnly scope. The caller owns the alive flags
-  /// (setting both per-slot copies for the whole mask before the first
-  /// call and clearing edges between calls as blocks are removed —
-  /// exactly FDET's loop) and must clear them when done.
+  /// Peels the subgraph formed by the view's alive slots (only nodes
+  /// incident to an alive edge take part, as in a compacted subgraph)
+  /// down to nothing, returning the argmax-φ prefix block. Every edge
+  /// weight is scaled by `weight_scale` on the fly — bit-identical to
+  /// peeling a materialized subgraph whose stored weights were
+  /// pre-multiplied by the same factor (Theorem 1's 1/p reweighting
+  /// without a reweighted copy). The caller removes edges between calls by
+  /// clearing both per-slot alive copies (`view_alive` and, at
+  /// `view_merchant_slot`, `view_alive_m`) — exactly FDET's loop.
   ///
   /// The result is in *member-dense* ids (result.users are member user
-  /// ids, result.merchants member merchant ids; removal_order packs
-  /// member ids) — translate through `member_users` / `member_merchants`.
-  /// Under that order-preserving translation the output is bit-identical
-  /// to Peel(alive_edges_ascending, kIncidentOnly, weight_scale): the
-  /// alive slots of the ascending mask *are* that residual list, in
-  /// order, and member numbering is monotone in parent id.
+  /// ids, result.merchants member merchant ids) — translate through
+  /// `member_users` / `member_merchants`; removal_order holds parent
+  /// packed ids. Under that order-preserving translation the output is
+  /// bit-identical to PeelDensestBlock over the subgraph compacted from
+  /// the alive edges: they are the ascending alive slots of the mask, and
+  /// member numbering is monotone in parent id.
   ///
   /// @pre SetResidualView() was called for this mask.
   PeelResult PeelAliveInView(const DensityConfig& config, double weight_scale,
@@ -327,13 +288,15 @@ class CsrPeeler {
 
  private:
   const CsrGraph* graph_;
-  std::unique_ptr<PeelScratch> owned_;  // null when borrowing an arena
   PeelScratch* s_;
+  std::span<const EdgeId> view_mask_;
 };
 
-/// One-shot CSR peel of the whole graph, kAllNodes scope: produces results
-/// bit-identical to `PeelDensestBlock(graph.ToBipartite(), ...)` (trace
-/// and removal order included).
+/// One-shot CSR peel of every edge of `graph`, node ids in `graph`'s own
+/// space. Only nodes with at least one edge take part, so the result is
+/// bit-identical to PeelDensestBlock over the subgraph of `graph`'s edges
+/// (SubgraphFromEdges over all of them) with ids mapped back — trace and
+/// removal order included.
 PeelResult PeelDensestBlockCsr(const CsrGraph& graph,
                                const DensityConfig& config,
                                bool keep_trace = false);

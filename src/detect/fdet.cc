@@ -135,80 +135,15 @@ bool ElbowConfirmed(const std::vector<double>& scores_so_far,
              AutoTruncationIndex(scores_so_far) + config.elbow_patience;
 }
 
-// Algorithm 1 over the whole graph: iterated in-place peeling with the
-// residual kept as an explicit ascending edge-id work list
-// (`fdet_remaining`). All mutable state lives in the arena; validation is
-// the caller's job.
-FdetResult RunFdetOverResidual(const CsrGraph& graph,
-                               const FdetConfig& config,
-                               PeelScratch* scratch) {
-  const int explore_limit = config.policy == TruncationPolicy::kFixedK
-                                ? std::max(config.max_blocks, config.fixed_k)
-                                : config.max_blocks;
-
-  std::vector<DetectedBlock> explored;
-  std::vector<double> scores_so_far;
-
-  CsrPeeler peeler(graph, scratch);
-  PeelScratch& s = *scratch;
-
-  while (static_cast<int>(explored.size()) < explore_limit &&
-         !s.fdet_remaining.empty()) {
-    PeelResult peel = peeler.Peel(s.fdet_remaining, config.density,
-                                  PeelNodeScope::kIncidentOnly,
-                                  /*weight_scale=*/1.0,
-                                  /*keep_trace=*/false);
-    if (peel.score <= config.min_block_score ||
-        (peel.users.empty() && peel.merchants.empty())) {
-      break;
-    }
-
-    DetectedBlock block;
-    block.score = peel.score;
-    block.users = std::move(peel.users);
-    block.merchants = std::move(peel.merchants);
-    explored.push_back(std::move(block));
-    DetectedBlock& added = explored.back();
-
-    // Remove E_i: residual edges induced by the block's vertex set, and
-    // record them on the block for diagnostics/invariant checking. The
-    // in_block flags are all-zero between iterations.
-    for (UserId u : added.users) s.in_block_user[u] = 1;
-    for (MerchantId v : added.merchants) s.in_block_merchant[v] = 1;
-    s.fdet_next.clear();
-    for (EdgeId e : s.fdet_remaining) {
-      const bool inside = s.in_block_user[graph.edge_user(e)] &&
-                          s.in_block_merchant[graph.edge_merchant(e)];
-      if (inside) {
-        added.edges.push_back(e);
-      } else {
-        s.fdet_next.push_back(e);
-      }
-    }
-    for (UserId u : added.users) s.in_block_user[u] = 0;
-    for (MerchantId v : added.merchants) s.in_block_merchant[v] = 0;
-    // The peeled block always contains at least one residual edge, so the
-    // loop strictly shrinks the residual and must terminate.
-    ENSEMFDET_CHECK(s.fdet_next.size() < s.fdet_remaining.size())
-        << "detected block removed no edges";
-    std::swap(s.fdet_remaining, s.fdet_next);
-
-    scores_so_far.push_back(added.score);
-    if (ElbowConfirmed(scores_so_far, config)) break;
-  }
-
-  return TruncateExplored(std::move(explored), config);
-}
-
-// Algorithm 1 over a sampled residual of a shared parent — the ensemble
-// hot loop. The mask is cached once as a member-dense residual view
-// (SetResidualView) and the per-iteration residual is just the
-// `view_alive` bitmap over its slots: every iteration streams
-// residual-sized compact arrays with no parent-array gathers and no
-// work-list rebuild. Output is bit-identical to running
-// RunFdetOverResidual on the same initial residual: the alive slots of
-// the ascending mask are that iteration's work list, in order, and the
-// member-dense ids translate monotonically back to parent ids.
+// Algorithm 1 over a residual edge set of a shared parent — a sampled
+// member's mask, or every edge for whole-graph FDET. The mask is cached
+// once as a member-dense residual view (SetResidualView) and the
+// per-iteration residual is just the `view_alive` bitmap over its slots:
+// every iteration streams residual-sized compact arrays with no
+// parent-array gathers and no work-list rebuild. Each iteration's alive
+// slots are that iteration's residual, ascending, and the member-dense
+// ids translate monotonically back to parent ids, so every block matches
+// the seed's compacted-subgraph loop (RunFdetReference).
 FdetResult RunFdetInView(const CsrGraph& graph,
                          std::span<const EdgeId> initial_residual,
                          double weight_scale, const FdetConfig& config,
@@ -224,12 +159,8 @@ FdetResult RunFdetInView(const CsrGraph& graph,
   PeelScratch& s = *scratch;
   peeler.SetResidualView(initial_residual);
 
-  const int64_t mask_size = static_cast<int64_t>(s.view_mask.size());
+  const int64_t mask_size = static_cast<int64_t>(initial_residual.size());
   const int32_t member_users = static_cast<int32_t>(s.member_user_count);
-  for (int64_t i = 0; i < mask_size; ++i) {
-    s.view_alive[static_cast<size_t>(i)] = 1;
-    s.view_alive_m[static_cast<size_t>(i)] = 1;
-  }
   int64_t alive_edges = mask_size;
 
   while (static_cast<int>(explored.size()) < explore_limit &&
@@ -255,8 +186,8 @@ FdetResult RunFdetInView(const CsrGraph& graph,
     DetectedBlock& added = explored.back();
 
     // Remove E_i by clearing alive flags in mask order (so the recorded
-    // block edges come out ascending, exactly like the work-list path).
-    // Block-membership flags live in member id space — compact.
+    // block edges come out ascending). Block-membership flags live in
+    // member id space — compact.
     for (UserId mu : peel.users) s.in_block_user[mu] = 1;
     for (MerchantId mj : peel.merchants) s.in_block_merchant[mj] = 1;
     int64_t removed_edges = 0;
@@ -271,7 +202,7 @@ FdetResult RunFdetInView(const CsrGraph& graph,
       const int32_t mj =
           s.view_merchant_dense[static_cast<size_t>(i)] - member_users;
       if (s.in_block_user[mu] && s.in_block_merchant[mj]) {
-        added.edges.push_back(s.view_mask[static_cast<size_t>(i)]);
+        added.edges.push_back(initial_residual[static_cast<size_t>(i)]);
         s.view_alive[static_cast<size_t>(i)] = 0;
         s.view_alive_m[static_cast<size_t>(
             s.view_merchant_slot[static_cast<size_t>(i)])] = 0;
@@ -287,12 +218,6 @@ FdetResult RunFdetInView(const CsrGraph& graph,
 
     scores_so_far.push_back(added.score);
     if (ElbowConfirmed(scores_so_far, config)) break;
-  }
-
-  // Restore the arena invariant (alive flags all-zero) on every exit path.
-  for (int64_t i = 0; i < mask_size; ++i) {
-    s.view_alive[static_cast<size_t>(i)] = 0;
-    s.view_alive_m[static_cast<size_t>(i)] = 0;
   }
 
   return TruncateExplored(std::move(explored), config);
@@ -320,15 +245,10 @@ void FlushPeelCounters(PeelScratch* scratch) {
 
 Result<FdetResult> RunFdetCsr(const CsrGraph& graph,
                               const FdetConfig& config) {
-  ENSEMFDET_RETURN_NOT_OK(ValidateFdetConfig(config));
+  std::vector<EdgeId> all(static_cast<size_t>(graph.num_edges()));
+  std::iota(all.begin(), all.end(), EdgeId{0});
   PeelScratch scratch;
-  scratch.Prepare(graph);
-  scratch.fdet_remaining.resize(static_cast<size_t>(graph.num_edges()));
-  std::iota(scratch.fdet_remaining.begin(), scratch.fdet_remaining.end(),
-            EdgeId{0});
-  FdetResult result = RunFdetOverResidual(graph, config, &scratch);
-  FlushPeelCounters(&scratch);
-  return result;
+  return RunFdetCsrMasked(graph, all, /*weight_scale=*/1.0, config, &scratch);
 }
 
 Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
@@ -340,8 +260,12 @@ Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
   if (!(weight_scale > 0.0)) {
     return Status::InvalidArgument("weight_scale must be > 0");
   }
+  if (static_cast<int64_t>(initial_residual.size()) > kMaxViewEdges) {
+    return Status::OutOfRange("residual of " +
+                              std::to_string(initial_residual.size()) +
+                              " edges exceeds the residual-view limit");
+  }
   ENSEMFDET_CHECK(scratch != nullptr);
-  scratch->Prepare(graph);
   FdetResult result =
       RunFdetInView(graph, initial_residual, weight_scale, config, scratch);
   FlushPeelCounters(scratch);

@@ -95,10 +95,10 @@ int AutoTruncationIndex(const std::vector<double>& scores);
 Result<FdetResult> RunFdet(const BipartiteGraph& graph,
                            const FdetConfig& config);
 
-/// CSR-native FDET: iterated in-place peeling over a shared immutable
-/// CsrGraph (see detect/csr_peeler.h). The per-iteration residual is an
-/// edge-id subset; no subgraph is ever materialized. Node/edge ids in the
-/// result are `graph`'s own.
+/// CSR-native FDET over the whole graph: RunFdetCsrMasked over every edge
+/// with weight_scale 1 and a private arena. No subgraph is ever
+/// materialized; node/edge ids in the result are `graph`'s own. Fails
+/// with OutOfRange above kMaxViewEdges (2^30 − 1) edges.
 ///
 /// @pre `graph` came from CsrGraph::FromBipartite (canonical edge order).
 /// @post Bit-identical results to RunFdetReference on the equivalent
@@ -108,19 +108,21 @@ Result<FdetResult> RunFdetCsr(const CsrGraph& graph,
                               const FdetConfig& config);
 
 /// Zero-materialization FDET over a *residual edge subset* of a shared
-/// immutable parent graph — the ensemble hot-loop entry point. Runs the
-/// exact Algorithm 1 loop of RunFdetCsr, but starting from
-/// `initial_residual` instead of the whole edge set, scaling every edge
-/// weight by `weight_scale` on the fly (Theorem 1's 1/p reweighting
-/// without a reweighted copy), and drawing every buffer from `scratch` so
-/// repeated calls against a warm arena allocate nothing but the result.
+/// immutable parent graph — the one FDET driver: Algorithm 1 starting
+/// from `initial_residual`, scaling every edge weight by `weight_scale`
+/// on the fly (Theorem 1's 1/p reweighting without a reweighted copy),
+/// and drawing every buffer from `scratch`, sized by the residual and its
+/// incident nodes, so repeated calls against a warm arena allocate
+/// nothing but the result.
 ///
 /// Bit-exactness: for a sampled edge set, the output blocks/scores/counts
 /// are identical — under the order-isomorphic id relabeling — to
 /// materializing the child subgraph over those edges (weights
-/// pre-scaled), converting it to CSR, and running RunFdetCsr on it; node
-/// and edge ids in the result are the *parent's* own, so no remapping
-/// step exists. tests/ensemble_parity_test.cc pins this end to end.
+/// pre-scaled) and running RunFdetReference on it; node and edge ids in
+/// the result are the *parent's* own, so no remapping step exists.
+/// tests/ensemble_parity_test.cc pins this end to end. Fails with
+/// InvalidArgument like RunFdet or for `weight_scale` ≤ 0, and with
+/// OutOfRange above kMaxViewEdges residual edges.
 ///
 /// @pre `graph` came from CsrGraph::FromBipartite (canonical edge order);
 ///      `initial_residual` is ascending and duplicate-free;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
 #include "detect/indexed_heap.h"
+#include "graph/subgraph.h"
 
 namespace ensemfdet {
 
@@ -108,6 +110,26 @@ PeelResult PeelDensestBlock(const BipartiteGraph& graph,
   }
   result.score = best_phi;
   if (keep_trace) result.removal_order = std::move(removal_order);
+  return result;
+}
+
+PeelResult PeelIncidentSubgraph(const BipartiteGraph& graph,
+                                const DensityConfig& config,
+                                bool keep_trace) {
+  std::vector<EdgeId> all(static_cast<size_t>(graph.num_edges()));
+  std::iota(all.begin(), all.end(), EdgeId{0});
+  const SubgraphView view = SubgraphFromEdges(graph, all);
+  PeelResult result = PeelDensestBlock(view.graph, config, keep_trace);
+  for (UserId& u : result.users) u = view.ToParentUser(u);
+  for (MerchantId& v : result.merchants) v = view.ToParentMerchant(v);
+  const int64_t local_users = view.graph.num_users();
+  for (int64_t& id : result.removal_order) {
+    id = id < local_users
+             ? static_cast<int64_t>(view.ToParentUser(static_cast<UserId>(id)))
+             : graph.num_users() +
+                   static_cast<int64_t>(view.ToParentMerchant(
+                       static_cast<MerchantId>(id - local_users)));
+  }
   return result;
 }
 

@@ -43,11 +43,19 @@ struct PeelResult {
 ///       call concurrently on the same graph. Deterministic: equal-
 ///       priority ties break toward the smaller packed node id.
 /// @note This is the seed adjacency-list implementation; the hot path
-///       uses the bit-exact in-place CSR rewrite in detect/csr_peeler.h
-///       (PeelDensestBlockCsr), which this remains the reference for.
+///       uses the bit-exact in-place CSR rewrite in detect/csr_peeler.h,
+///       which this remains the reference for.
 PeelResult PeelDensestBlock(const BipartiteGraph& graph,
                             const DensityConfig& config,
                             bool keep_trace = false);
+
+/// PeelDensestBlock over the subgraph of `graph`'s edges (isolated nodes
+/// dropped, as FDET's compacted residuals drop them), with block ids and
+/// the removal order mapped back to `graph`'s own — the seed referee for
+/// PeelDensestBlockCsr.
+PeelResult PeelIncidentSubgraph(const BipartiteGraph& graph,
+                                const DensityConfig& config,
+                                bool keep_trace = false);
 
 }  // namespace ensemfdet
 

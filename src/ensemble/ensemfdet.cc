@@ -28,6 +28,7 @@ struct DetectMetrics {
   obs::Histogram* member_peel_seconds;
   obs::Histogram* aggregate_seconds;
   obs::Histogram* run_seconds;
+  obs::Gauge* arena_bytes;
 };
 
 DetectMetrics& Metrics() {
@@ -39,6 +40,10 @@ DetectMetrics& Metrics() {
       reg.GetHistogram("ensemfdet_detect_member_peel_seconds"),
       reg.GetHistogram("ensemfdet_detect_aggregate_seconds"),
       reg.GetHistogram("ensemfdet_detect_run_seconds"),
+      reg.GetGauge("ensemfdet_detect_arena_bytes",
+                   "Buffer capacity, in bytes, held by all live ensemble "
+                   "member arenas (sampler scratch, peel arrays, view "
+                   "rows)."),
   };
   return m;
 }
@@ -46,8 +51,8 @@ DetectMetrics& Metrics() {
 // One ensemble member's contribution, in parent-graph id space.
 // weight[i] is the φ of the densest detected block containing node i —
 // the per-member input to the score-weighted aggregation variant. Node
-// lists are duplicate-free but not necessarily sorted (aggregation
-// increments independent per-node slots, so order cannot affect it).
+// lists are duplicate-free and ascending (aggregation increments
+// independent per-node slots, so order could not affect it anyway).
 struct MemberOutput {
   std::vector<UserId> users;
   std::vector<double> user_weights;
@@ -58,49 +63,36 @@ struct MemberOutput {
 };
 
 // Per-worker arena for the zero-materialization member path: sampling
-// scratch, the FDET peel arena, and dense epoch-stamped per-node weight
-// accumulators (replacing the reference path's per-member unordered_maps
-// — no hashing, no rehash growth, no per-member clear). thread_local, so
-// it persists across members, runs, and graphs served by the same worker;
-// stamps make stale contents harmless and growth events count arena
-// reuse misses (zero once warm).
+// scratch, the member's edge mask and the FDET peel arena, all sized by
+// the largest member served, save the sampler's parent-id marks and the
+// peel's parent-merchant map. thread_local, so it persists across
+// members, runs, and graphs served by the same worker; growth events
+// count arena reuse misses (zero once warm). The arena's capacity is
+// mirrored into the arena-bytes gauge whenever it changes and withdrawn
+// when the worker exits.
 struct MemberArena {
   EdgeMaskScratch sample;
   std::vector<EdgeId> mask;
   PeelScratch peel;
-  std::vector<double> user_weight;      // valid iff user_seen[u] == epoch
-  std::vector<double> merchant_weight;
-  std::vector<uint32_t> user_seen;
-  std::vector<uint32_t> merchant_seen;
-  uint32_t epoch = 0;
-  int64_t weight_grow_events = 0;
+  int64_t gauge_bytes = 0;  // this arena's share of the gauge
 
-  void PrepareWeights(const CsrGraph& graph) {
-    const size_t users = static_cast<size_t>(graph.num_users());
-    const size_t merchants = static_cast<size_t>(graph.num_merchants());
-    if (user_seen.size() < users) {
-      user_seen.resize(users, 0u);
-      user_weight.resize(users, 0.0);
-      ++weight_grow_events;
-    }
-    if (merchant_seen.size() < merchants) {
-      merchant_seen.resize(merchants, 0u);
-      merchant_weight.resize(merchants, 0.0);
-      ++weight_grow_events;
-    }
-  }
-
-  uint32_t NextEpoch() {
-    if (++epoch == 0) {
-      std::fill(user_seen.begin(), user_seen.end(), 0u);
-      std::fill(merchant_seen.begin(), merchant_seen.end(), 0u);
-      epoch = 1;
-    }
-    return epoch;
-  }
+  MemberArena() = default;
+  MemberArena(const MemberArena&) = delete;
+  MemberArena& operator=(const MemberArena&) = delete;
+  ~MemberArena() { Metrics().arena_bytes->Add(-gauge_bytes); }
 
   int64_t TotalGrowEvents() const {
-    return weight_grow_events + sample.grow_events + peel.grow_events;
+    return sample.grow_events + peel.grow_events;
+  }
+
+  void UpdateGauge() {
+    const int64_t bytes =
+        sample.CapacityBytes() + peel.CapacityBytes() +
+        static_cast<int64_t>(mask.capacity() * sizeof(EdgeId));
+    if (bytes != gauge_bytes) {
+      Metrics().arena_bytes->Add(bytes - gauge_bytes);
+      gauge_bytes = bytes;
+    }
   }
 };
 
@@ -142,12 +134,14 @@ Result<FdetResult> RunMemberCsrCore(const CsrGraph& graph,
   obs::TraceSpan span(metrics.member_peel_seconds, "member_peel");
   Result<FdetResult> fdet = RunFdetCsrMasked(
       graph, arena->mask, info.weight_scale, fdet_config, &arena->peel);
+  arena->UpdateGauge();
   if (fdet.ok()) stats->num_blocks = fdet->truncation_index;
   return fdet;
 }
 
-// Run()'s member: the core above plus vote flattening through the dense
-// epoch-stamped weight arrays.
+// Run()'s member: the core above plus vote flattening — each detected
+// node once, with the max φ over the blocks containing it (nodes can sit
+// in several blocks: blocks are edge-disjoint, not vertex-disjoint).
 MemberOutput RunMemberCsr(const CsrGraph& graph, const Sampler& sampler,
                           const FdetConfig& fdet_config, Rng member_rng) {
   MemberArena& arena = t_member_arena;
@@ -162,39 +156,16 @@ MemberOutput RunMemberCsr(const CsrGraph& graph, const Sampler& sampler,
     return out;
   }
 
-  // Per-node weight: max φ over the detected blocks containing the node
-  // (nodes can sit in several blocks — blocks are edge-disjoint, not
-  // vertex-disjoint). First touch this epoch also collects the node, so
-  // the union needs no sort/unique pass.
-  arena.PrepareWeights(graph);
-  const uint32_t ep = arena.NextEpoch();
+  std::vector<std::pair<UserId, double>> user_pairs;
+  std::vector<std::pair<MerchantId, double>> merchant_pairs;
   for (const DetectedBlock& block : fdet->blocks) {
-    for (UserId u : block.users) {
-      if (arena.user_seen[u] != ep) {
-        arena.user_seen[u] = ep;
-        arena.user_weight[u] = block.score;
-        out.users.push_back(u);
-      } else {
-        arena.user_weight[u] = std::max(arena.user_weight[u], block.score);
-      }
-    }
+    for (UserId u : block.users) user_pairs.push_back({u, block.score});
     for (MerchantId v : block.merchants) {
-      if (arena.merchant_seen[v] != ep) {
-        arena.merchant_seen[v] = ep;
-        arena.merchant_weight[v] = block.score;
-        out.merchants.push_back(v);
-      } else {
-        arena.merchant_weight[v] =
-            std::max(arena.merchant_weight[v], block.score);
-      }
+      merchant_pairs.push_back({v, block.score});
     }
   }
-  out.user_weights.reserve(out.users.size());
-  for (UserId u : out.users) out.user_weights.push_back(arena.user_weight[u]);
-  out.merchant_weights.reserve(out.merchants.size());
-  for (MerchantId v : out.merchants) {
-    out.merchant_weights.push_back(arena.merchant_weight[v]);
-  }
+  ReduceMaxWeights(&user_pairs, &out.users, &out.user_weights);
+  ReduceMaxWeights(&merchant_pairs, &out.merchants, &out.merchant_weights);
 
   out.stats.arena_grow_events = arena.TotalGrowEvents() - grow_before;
   out.stats.seconds = timer.ElapsedSeconds();

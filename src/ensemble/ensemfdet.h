@@ -11,8 +11,8 @@
 // materialization** — samplers emit residual edge masks in parent edge-id
 // space (Sampler::SampleEdgeMask), FDET peels those masks in place
 // (RunFdetCsrMasked), and each worker thread reuses one arena (sampling
-// buffers + PeelScratch + dense epoch-stamped weight arrays) across all
-// its members, so a warm run performs no arena allocations at all. The
+// buffers + edge mask + PeelScratch, sized by the largest member) across
+// all its members, so a warm run performs no arena allocations at all. The
 // seed materializing path survives as RunReference() — the bit-exact
 // parity and performance reference (tests/ensemble_parity_test.cc,
 // bench/bench_ensemble.cc), mirroring detect/fdet.h's RunFdetReference.

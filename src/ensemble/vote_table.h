@@ -7,8 +7,10 @@
 #ifndef ENSEMFDET_ENSEMBLE_VOTE_TABLE_H_
 #define ENSEMFDET_ENSEMBLE_VOTE_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -52,6 +54,31 @@ class VoteTable {
   std::vector<int32_t> user_votes_;
   std::vector<int32_t> merchant_votes_;
 };
+
+/// Reduces one member's (node, φ) pairs, listed in block order, to its
+/// distinct nodes, ascending, each with the max φ over the blocks that
+/// contain it — appended to `*ids` / `*weights`. The stable sort keeps
+/// each node's pairs in block order, so every node sees the same
+/// first-touch-then-max sequence as an id-indexed scan over the blocks
+/// would give it, with scratch proportional to the blocks rather than to
+/// the id universe. `*pairs` is left sorted.
+template <typename Id>
+void ReduceMaxWeights(std::vector<std::pair<Id, double>>* pairs,
+                      std::vector<Id>* ids, std::vector<double>* weights) {
+  std::stable_sort(pairs->begin(), pairs->end(),
+                   [](const std::pair<Id, double>& a,
+                      const std::pair<Id, double>& b) {
+                     return a.first < b.first;
+                   });
+  for (const auto& [id, weight] : *pairs) {
+    if (!ids->empty() && ids->back() == id) {
+      weights->back() = std::max(weights->back(), weight);
+    } else {
+      ids->push_back(id);
+      weights->push_back(weight);
+    }
+  }
+}
 
 }  // namespace ensemfdet
 

@@ -177,29 +177,6 @@ struct MemberVotes {
   EnsemFDetReport::MemberStats stats;
 };
 
-// Reduces (node, φ) pairs listed in kept-block order to distinct nodes
-// and their max φ. The stable sort keeps each node's pairs in block
-// order, so every node sees the same first-touch-then-max sequence as an
-// epoch-stamped scan over the kept blocks would give it — with scratch
-// proportional to the kept blocks rather than to the id universe.
-template <typename Id>
-void ReduceMaxWeights(std::vector<std::pair<Id, double>>* pairs,
-                      std::vector<Id>* ids, std::vector<double>* weights) {
-  std::stable_sort(pairs->begin(), pairs->end(),
-                   [](const std::pair<Id, double>& a,
-                      const std::pair<Id, double>& b) {
-                     return a.first < b.first;
-                   });
-  for (const auto& [id, weight] : *pairs) {
-    if (!ids->empty() && ids->back() == id) {
-      weights->back() = std::max(weights->back(), weight);
-    } else {
-      ids->push_back(id);
-      weights->push_back(weight);
-    }
-  }
-}
-
 }  // namespace
 
 Result<StreamingDetector> StreamingDetector::Create(

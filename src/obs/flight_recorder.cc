@@ -71,12 +71,12 @@ size_t SlotStride(const FlightRecorderOptions& opts) {
          static_cast<size_t>(opts.ring_records) * sizeof(FlightRecord);
 }
 
+#if !defined(ENSEMFDET_METRICS_DISABLED) && defined(ENSEMFDET_FLIGHT_POSIX)
+
 size_t MappedBytes(const FlightRecorderOptions& opts) {
   return kHeaderBytes + static_cast<size_t>(opts.max_names) * kNameBytes +
          static_cast<size_t>(opts.max_threads) * SlotStride(opts);
 }
-
-#if !defined(ENSEMFDET_METRICS_DISABLED) && defined(ENSEMFDET_FLIGHT_POSIX)
 
 struct FlightState {
   int fd = -1;                // pre-opened; the crash path pwrite()s it
@@ -91,11 +91,14 @@ struct FlightState {
   FlightRecorderOptions opts;
   std::atomic<uint32_t> next_slot{0};
   std::atomic<bool> footer_written{false};
+  // The state this one replaced. Retired states are never freed — a
+  // thread or signal handler racing a reinstall through a cached pointer
+  // still writes into live (just orphaned) memory — but each stays owned
+  // by its successor, so all of them remain reachable from the global.
+  std::unique_ptr<FlightState> retired;
 };
 
-// Swapped on (re)install; the old state is leaked deliberately so a
-// thread racing a reinstall through a cached pointer still writes into
-// live (just orphaned) memory.
+// Swapped on (re)install; the installed state owns every state before it.
 std::atomic<FlightState*> g_flight_state{nullptr};
 std::atomic<uint64_t> g_flight_epoch{0};
 
@@ -315,7 +318,7 @@ Status InstallFlightRecorder(const FlightRecorderOptions& options) {
     return Status::IOError("mmap(" + options.path + ") failed: " + err);
   }
 
-  auto* state = new FlightState();  // leaked on reinstall by design
+  auto* state = new FlightState();  // reachable from g_flight_state
   state->fd = fd;
   state->base = static_cast<uint8_t*>(base);
   state->mapped_bytes = bytes;
@@ -337,7 +340,8 @@ Status InstallFlightRecorder(const FlightRecorderOptions& options) {
   header->name_bytes = kNameBytes;
 
   InstallSignalHandlersOnce();
-  g_flight_state.store(state, std::memory_order_release);
+  state->retired.reset(
+      g_flight_state.exchange(state, std::memory_order_acq_rel));
   g_flight_epoch.fetch_add(1, std::memory_order_relaxed);
   internal::g_flight_active.store(true, std::memory_order_release);
   return Status::OK();

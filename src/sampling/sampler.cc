@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -43,18 +44,19 @@ void EdgeMaskScratch::SampleWithoutReplacement(Rng* rng, uint64_t n,
   // identical rng consumption (step i draws j = i + NextBounded(n - i)
   // and emits the value living at slot j), so the choice is purely a
   // performance one and may differ per call:
-  //  * dense draws (k ≥ n/16): real Fisher-Yates over a cached index
-  //    array — an O(n) sequential refresh beats per-draw hashing, and
-  //    the retained buffer is bounded by 16k, not by the population;
-  //  * sparse draws: Rng's O(k) hash-displacement variant, so a tiny
-  //    sample of a huge population costs O(k) time and memory.
-  if (k < n / 16) {
+  //  * dense draws (k ≥ n/16): real Fisher-Yates over a cached 32-bit
+  //    index array — an O(n) sequential refresh beats per-draw hashing,
+  //    and the retained buffer is bounded by 16k, not by the population;
+  //  * sparse draws, and populations a 32-bit index cannot hold: Rng's
+  //    O(k) hash-displacement variant, so a tiny sample of a huge
+  //    population costs O(k) time and memory.
+  if (k < n / 16 || n > std::numeric_limits<uint32_t>::max()) {
     rng->SampleWithoutReplacement(n, k, out);
     return;
   }
   if (fy_perm.capacity() < static_cast<size_t>(n)) ++grow_events;
   fy_perm.resize(static_cast<size_t>(n));
-  std::iota(fy_perm.begin(), fy_perm.end(), uint64_t{0});
+  std::iota(fy_perm.begin(), fy_perm.end(), uint32_t{0});
   if (out->capacity() < static_cast<size_t>(k)) ++grow_events;
   out->clear();
   out->reserve(static_cast<size_t>(k));
@@ -63,6 +65,14 @@ void EdgeMaskScratch::SampleWithoutReplacement(Rng* rng, uint64_t n,
     std::swap(fy_perm[static_cast<size_t>(i)], fy_perm[static_cast<size_t>(j)]);
     out->push_back(fy_perm[static_cast<size_t>(i)]);
   }
+}
+
+int64_t EdgeMaskScratch::CapacityBytes() const {
+  return static_cast<int64_t>(
+      drawn.capacity() * sizeof(uint64_t) +
+      (fy_perm.capacity() + selected.capacity() + selected_other.capacity() +
+       user_mark.capacity() + merchant_mark.capacity()) *
+          sizeof(uint32_t));
 }
 
 const char* SampleMethodName(SampleMethod method) {

@@ -58,14 +58,15 @@ Result<SampleMethod> ParseSampleMethod(const std::string& name);
 int64_t SampleTargetCount(double ratio, int64_t population);
 
 /// Per-worker scratch for SampleEdgeMask: draw buffers, selected-node
-/// lists, and epoch-stamped membership marks, all reused across calls so a
-/// warm ensemble worker samples with zero arena allocations. `grow_events`
-/// counts buffer growths (flat once warm; surfaced by the ensemble bench).
+/// lists, and epoch-stamped membership marks (indexed by parent id), all
+/// reused across calls so a warm ensemble worker samples with zero arena
+/// allocations. `grow_events` counts growths of the draw buffers and the
+/// marks (flat once warm; surfaced by the ensemble bench).
 ///
 /// @note Thread-safety: mutable state — one instance per thread.
 struct EdgeMaskScratch {
   std::vector<uint64_t> drawn;           ///< raw without-replacement draws
-  std::vector<uint64_t> fy_perm;         ///< Fisher-Yates index buffer
+  std::vector<uint32_t> fy_perm;         ///< Fisher-Yates index buffer
   std::vector<uint32_t> selected;        ///< sorted node ids (first side)
   std::vector<uint32_t> selected_other;  ///< sorted node ids (TNS 2nd side)
   std::vector<uint32_t> user_mark;       ///< stamp == epoch ⇔ marked
@@ -81,12 +82,15 @@ struct EdgeMaskScratch {
   /// Draws `k` distinct values uniformly from [0, n) into `*out` —
   /// consuming exactly the same rng stream, and producing exactly the
   /// same selection-order output, as Rng::SampleWithoutReplacement. For
-  /// dense draws (k ≥ n/16) it runs a real Fisher-Yates prefix over the
-  /// arena-cached `fy_perm` (no hashing, no allocation when warm, buffer
-  /// bounded by 16k); sparse draws fall through to Rng's O(k)
-  /// hash-displacement variant so huge populations cost O(k).
+  /// dense draws (k ≥ n/16, n ≤ UINT32_MAX) it runs a real Fisher-Yates
+  /// prefix over the arena-cached 32-bit `fy_perm` (no hashing, no
+  /// allocation when warm, buffer bounded by 16k entries); sparse draws
+  /// and larger populations fall through to Rng's O(k) hash-displacement
+  /// variant, so huge populations cost O(k).
   void SampleWithoutReplacement(Rng* rng, uint64_t n, uint64_t k,
                                 std::vector<uint64_t>* out);
+  /// Bytes of buffer capacity the scratch holds.
+  int64_t CapacityBytes() const;
 };
 
 /// What SampleEdgeMask reports alongside the edge subset: the node counts

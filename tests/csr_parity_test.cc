@@ -1,9 +1,9 @@
 // Bit-exact parity of the CSR hot path against the seed adjacency-list
-// implementations (ISSUE 2 acceptance criterion): on random graphs —
-// weighted and unweighted, dense and sparse, with isolated nodes — the
-// CSR peeler, CSR k-core, and in-place CSR FDET must reproduce the seed's
-// scores, suspicious sets, traces, and removal orders exactly (== on
-// doubles, not near).
+// implementations: on random graphs — weighted and unweighted, dense and
+// sparse, with isolated nodes — the CSR peeler, CSR k-core, and in-place
+// CSR FDET must reproduce the seed's scores, suspicious sets, traces, and
+// removal orders exactly (== on doubles, not near). The peeler's arena
+// must be sized by the residual it peels, not by the parent graph.
 #include <algorithm>
 #include <tuple>
 #include <vector>
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "datagen/presets.h"
 #include "detect/csr_peeler.h"
 #include "detect/fdet.h"
 #include "detect/greedy_peeler.h"
@@ -18,6 +19,7 @@
 #include "graph/csr_graph.h"
 #include "graph/graph_builder.h"
 #include "graph/kcore.h"
+#include "sampling/sampler.h"
 
 namespace ensemfdet {
 namespace {
@@ -76,6 +78,9 @@ void ExpectFdetResultsIdentical(const FdetResult& seed,
 class CsrParityTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
+// One view-path peel over every edge against the seed peel of the
+// compacted incident subgraph: pins the survivor's trace and removal
+// order, which the FDET parity cases below do not check.
 TEST_P(CsrParityTest, PeelerBitExact) {
   const auto [seed, weighted] = GetParam();
   BipartiteGraph g = RandomPeelGraph(80, 50, 300, seed, weighted);
@@ -86,7 +91,7 @@ TEST_P(CsrParityTest, PeelerBitExact) {
     DensityConfig density;
     density.weight_kind = kind;
     ExpectPeelResultsIdentical(
-        PeelDensestBlock(g, density, /*keep_trace=*/true),
+        PeelIncidentSubgraph(g, density, /*keep_trace=*/true),
         PeelDensestBlockCsr(csr, density, /*keep_trace=*/true));
   }
 }
@@ -136,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CsrParityDegenerateTest, EmptyGraph) {
   BipartiteGraph g;
   ExpectPeelResultsIdentical(
-      PeelDensestBlock(g, {}, true),
+      PeelIncidentSubgraph(g, {}, true),
       PeelDensestBlockCsr(CsrGraph::FromBipartite(g), {}, true));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
@@ -146,7 +151,7 @@ TEST(CsrParityDegenerateTest, EdgelessNodes) {
   GraphBuilder b(6, 4);
   BipartiteGraph g = b.Build().ValueOrDie();
   ExpectPeelResultsIdentical(
-      PeelDensestBlock(g, {}, true),
+      PeelIncidentSubgraph(g, {}, true),
       PeelDensestBlockCsr(CsrGraph::FromBipartite(g), {}, true));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
@@ -157,7 +162,7 @@ TEST(CsrParityDegenerateTest, SingleEdge) {
   b.AddEdge(2, 1);
   BipartiteGraph g = b.Build().ValueOrDie();
   ExpectPeelResultsIdentical(
-      PeelDensestBlock(g, {}, true),
+      PeelIncidentSubgraph(g, {}, true),
       PeelDensestBlockCsr(CsrGraph::FromBipartite(g), {}, true));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
@@ -169,7 +174,7 @@ TEST(CsrParityDegenerateTest, StarGraph) {
   for (UserId u = 0; u < 12; ++u) b.AddEdge(u, 0);
   BipartiteGraph g = b.Build().ValueOrDie();
   ExpectPeelResultsIdentical(
-      PeelDensestBlock(g, {}, true),
+      PeelIncidentSubgraph(g, {}, true),
       PeelDensestBlockCsr(CsrGraph::FromBipartite(g), {}, true));
   ExpectFdetResultsIdentical(RunFdetReference(g, {}).ValueOrDie(),
                              RunFdet(g, {}).ValueOrDie());
@@ -225,6 +230,57 @@ TEST(CsrParityPartitionedTest, SingleComponentFastPathMatchesReference) {
               reference.blocks[i].merchants);
     EXPECT_EQ(partitioned.blocks[i].score, reference.blocks[i].score);
     EXPECT_EQ(partitioned.blocks[i].edges, reference.blocks[i].edges);
+  }
+}
+
+// A sampled member's arena follows the member: every node-indexed array is
+// sized by the view's Uₘ + Vₘ, and no buffer by the parent's node or edge
+// count (the one parent-sized array is the 32-bit merchant map).
+TEST(CsrPeelerArenaTest, ArenaSizedByMember) {
+  const Dataset dataset =
+      GenerateJdPreset(JdPreset::kDataset1, 0.05, 7).ValueOrDie();
+  const CsrGraph graph = CsrGraph::FromBipartite(dataset.graph);
+  const auto sampler =
+      MakeSampler(SampleMethod::kRandomEdge, 0.05).ValueOrDie();
+  Rng rng(11);
+  EdgeMaskScratch sample_scratch;
+  std::vector<EdgeId> mask;
+  const EdgeMaskInfo info =
+      sampler->SampleEdgeMask(graph, &rng, &sample_scratch, &mask);
+  ASSERT_GE(graph.num_edges(), 10 * static_cast<int64_t>(mask.size()));
+
+  PeelScratch s;
+  ASSERT_TRUE(RunFdetCsrMasked(graph, mask, info.weight_scale, FdetConfig{},
+                               &s)
+                  .ok());
+  const size_t users = s.member_users.size();
+  const size_t merchants = s.member_merchants.size();
+  const size_t nodes = users + merchants;
+  ASSERT_GT(users, 0u);
+  ASSERT_GT(merchants, 0u);
+  EXPECT_LE(s.user_degree.size(), users);
+  EXPECT_LE(s.in_block_user.size(), users);
+  EXPECT_LE(s.merchant_degree.size(), merchants);
+  EXPECT_LE(s.col_weight.size(), merchants);
+  EXPECT_LE(s.in_block_merchant.size(), merchants);
+  EXPECT_LE(s.priority.size(), nodes);
+  EXPECT_LE(s.removed.size(), nodes);
+  EXPECT_LE(s.gone.size(), nodes);
+  EXPECT_LE(s.heap.capacity(), static_cast<int64_t>(nodes));
+  EXPECT_LE(s.incident_users.capacity(), users);
+  EXPECT_LE(s.incident_merchants.capacity(), merchants);
+  EXPECT_LE(s.removal_order.capacity(), nodes);
+  EXPECT_LE(s.member_user_offsets.size(), users + 1);
+  EXPECT_LE(s.member_merchant_offsets.size(), merchants + 1);
+  EXPECT_EQ(s.parent_merchant_member.size(),
+            static_cast<size_t>(graph.num_merchants()));
+
+  // Every other buffer is bounded by the mask.
+  for (size_t size :
+       {s.view_weight_of.capacity(), s.view_user_dense.capacity(),
+        s.view_merchant_slot.capacity(), s.view_user_mass.capacity(),
+        s.member_users.capacity(), s.member_merchants.capacity()}) {
+    EXPECT_LE(size, mask.size());
   }
 }
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "graph/graph_builder.h"
+#include "obs/metrics.h"
 
 namespace ensemfdet {
 namespace {
@@ -226,6 +228,24 @@ TEST(EnsemFDetTest, MerchantVotesAlsoAccumulate) {
         report.votes.merchant_votes(static_cast<MerchantId>(v));
   }
   EXPECT_GT(total_merchant_votes, 0);
+}
+
+// The arena-bytes gauge counts a worker's arena while the worker lives
+// and drops it when the worker's thread exits.
+TEST(EnsemFDetTest, ArenaBytesGaugeFollowsLiveArenas) {
+  if (!obs::kMetricsCompiledIn) GTEST_SKIP() << "metrics compiled out";
+  obs::Gauge* gauge = obs::MetricsRegistry::Global().GetGauge(
+      "ensemfdet_detect_arena_bytes");
+  const BipartiteGraph graph = PlantedGraph();
+  const int64_t before = gauge->Value();
+  int64_t during = 0;
+  std::thread worker([&] {
+    ASSERT_TRUE(EnsemFDet(SmallConfig()).Run(graph).ok());
+    during = gauge->Value();
+  });
+  worker.join();
+  EXPECT_GT(during, before);
+  EXPECT_EQ(gauge->Value(), before);
 }
 
 }  // namespace

@@ -68,6 +68,7 @@ REQUIRED = {
     "ensemfdet_detect_aggregate_seconds": "histogram",
     "ensemfdet_detect_peel_pops_total": "counter",
     "ensemfdet_detect_peel_sorted_pops_total": "counter",
+    "ensemfdet_detect_arena_bytes": "gauge",
     "ensemfdet_ingest_events_ingested_total": "counter",
     "ensemfdet_ingest_publishes_total": "counter",
     "ensemfdet_ingest_publish_seconds": "histogram",
