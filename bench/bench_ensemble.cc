@@ -2,12 +2,10 @@
 // N-member ENSEMFDET run on a dataset1-preset graph — zero-
 // materialization hot path on the configured pool, member-throughput
 // scaling rows at 1/2/4/all-hardware threads (the wide arm clamped to
-// the runner's true core count), the materializing reference path, and
-// per-ISA SIMD kernel rows with a runtime-dispatch block — verifies
-// vote identity between the hot path and the reference AND across every
-// runnable SIMD dispatch level AND across every timed pool width
-// (refusing to emit on any divergence), and writes BENCH_ensemble.json
-// (schema_version 3: bench/README.md).
+// the runner's true core count) and the materializing reference path —
+// verifies vote identity between the hot path and the reference AND
+// across every timed pool width (refusing to emit on any divergence),
+// and writes BENCH_ensemble.json (schema_version 4: bench/README.md).
 //
 // Environment knobs: ENSEMFDET_SCALE (default 0.02), ENSEMFDET_SEED
 // (default 7), ENSEMFDET_REPEATS (default 3), ENSEMFDET_N (default 16),

@@ -82,7 +82,8 @@ BENCHMARK(BM_GlobalFdetBaseline)->Unit(benchmark::kMillisecond);
 void BM_ThreadPoolDispatchOverhead(benchmark::State& state) {
   ThreadPool pool(4);
   for (auto _ : state) {
-    pool.ParallelFor(0, 256, [](int64_t i) { benchmark::DoNotOptimize(i); });
+    pool.ParallelForWorkStealing(
+        0, 256, [](int64_t i) { benchmark::DoNotOptimize(i); });
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }

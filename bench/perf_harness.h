@@ -228,15 +228,14 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
                                 ObsBenchSummary* summary = nullptr);
 
 /// Runs the ensemble bench and returns the BENCH_ensemble.json document
-/// (schema_version 3): zero-materialization hot path on the configured
+/// (schema_version 4): zero-materialization hot path on the configured
 /// pool, member-throughput scaling rows at 1/2/4/all-hardware threads
 /// (the wide arm clamped to the runner's true core count and its
-/// resolved width recorded), the materializing reference path, per-ISA
-/// SIMD kernel rows, and a dispatch block (CPU / detected / active ISA
-/// level). Fails with Internal — refusing to emit — if the hot path
-/// diverges from the reference, OR if votes are not identical across
-/// every runnable SIMD dispatch level, OR across every timed pool width.
-/// When `summary` is non-null it receives the headline numbers.
+/// resolved width recorded), and the materializing reference path.
+/// Fails with Internal — refusing to emit — if the hot path diverges
+/// from the reference, OR if votes are not identical across every timed
+/// pool width. When `summary` is non-null it receives the headline
+/// numbers.
 Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
                                      EnsembleBenchSummary* summary = nullptr);
 

@@ -140,56 +140,16 @@ void ThreadPool::WaitIdle() {
 
 namespace {
 
-// Shared state of one ParallelFor: workers and the caller race to claim
-// chunks off `next`; whoever completes the last chunk wakes the caller.
-// Heap-allocated (shared_ptr) because enqueued helper lambdas can outlive
-// the caller's stack frame: a helper that wakes after every chunk is
-// claimed still reads `next` before returning.
-struct ParallelForState {
-  int64_t begin = 0;
-  int64_t end = 0;
-  int64_t chunk = 0;
-  int64_t num_chunks = 0;
-  const std::function<void(int64_t)>* fn = nullptr;
-
-  std::atomic<int64_t> next{0};
-  std::atomic<int64_t> completed{0};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-
-  // Claims and runs chunks until none remain. Safe to call from any
-  // thread, any number of threads at once.
-  void RunChunks() {
-    for (;;) {
-      const int64_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) return;
-      const int64_t lo = begin + c * chunk;
-      const int64_t hi = std::min(end, lo + chunk);
-      try {
-        for (int64_t i = lo; i < hi; ++i) (*fn)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          num_chunks) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_all();
-      }
-    }
-  }
-};
-
 // Shared state of one ParallelForWorkStealing. Per-participant deques of
 // [lo, hi) ranges under per-deque mutexes (items are whole ensemble
 // members or residual components — coarse enough that a mutex per claim
 // is noise next to the item itself). Owners pop single items off their
 // own front; thieves take the upper half of a victim's back range, so
 // the two ends never contend for the same items and a stolen slice is
-// itself re-stealable. Heap-allocated (shared_ptr) for the same reason
-// as ParallelForState: enqueued helpers can outlive the caller's frame.
+// itself re-stealable. Heap-allocated (shared_ptr) because enqueued
+// helper lambdas can outlive the caller's stack frame: a helper that
+// wakes after every item is claimed still scans the deques before
+// returning.
 struct WorkStealState {
   struct Range {
     int64_t lo;
@@ -324,41 +284,6 @@ void ThreadPool::ParallelForWorkStealing(
   std::unique_lock<std::mutex> lock(state->done_mu);
   state->done_cv.wait(lock, [&] {
     return state->completed.load(std::memory_order_acquire) == total;
-  });
-  if (state->first_error) std::rethrow_exception(state->first_error);
-}
-
-void ThreadPool::ParallelFor(int64_t begin, int64_t end,
-                             const std::function<void(int64_t)>& fn) {
-  if (begin >= end) return;
-  const int64_t total = end - begin;
-  const int64_t num_chunks =
-      std::min<int64_t>(total, static_cast<int64_t>(num_threads()) * 4);
-
-  auto state = std::make_shared<ParallelForState>();
-  state->begin = begin;
-  state->end = end;
-  state->num_chunks = num_chunks;
-  state->chunk = (total + num_chunks - 1) / num_chunks;
-  state->fn = &fn;
-
-  // The caller participates in its own chunks below, so ParallelFor makes
-  // progress even when every worker is busy — in particular a *worker*
-  // may call ParallelFor (a detection job fanning out on the pool that
-  // runs it) without deadlocking the pool: worst case it drains all its
-  // chunks itself.
-  // num_chunks - 1: the caller covers the last claimant slot itself, so a
-  // full complement of helpers would leave one task with nothing to claim.
-  const int64_t num_helpers =
-      std::min<int64_t>(num_chunks - 1, static_cast<int64_t>(num_threads()));
-  for (int64_t h = 0; h < num_helpers; ++h) {
-    Enqueue([state] { state->RunChunks(); });
-  }
-  state->RunChunks();
-
-  std::unique_lock<std::mutex> lock(state->done_mu);
-  state->done_cv.wait(lock, [&] {
-    return state->completed.load(std::memory_order_acquire) == num_chunks;
   });
   if (state->first_error) std::rethrow_exception(state->first_error);
 }

@@ -5,11 +5,11 @@
 //  - Tasks are type-erased std::function<void()>; callers wanting results
 //    use Submit() which wraps the callable in a std::packaged_task and
 //    returns a std::future.
-//  - ParallelFor partitions [begin, end) into contiguous chunks; each chunk
-//    index is deterministic, so randomized workloads that Split() their RNG
-//    by item index produce identical results at any thread count — this is
-//    what makes the ensemble's output independent of parallelism, a property
-//    tested in ensemble tests.
+//  - ParallelForWorkStealing runs fn(i) once per index, in no fixed order
+//    on no fixed thread; randomized workloads that Split() their RNG by
+//    item index therefore produce identical results at any thread count —
+//    this is what makes the ensemble's output independent of parallelism,
+//    a property tested in ensemble tests.
 #ifndef ENSEMFDET_COMMON_THREAD_POOL_H_
 #define ENSEMFDET_COMMON_THREAD_POOL_H_
 
@@ -48,28 +48,20 @@ class ThreadPool {
     return fut;
   }
 
-  /// Runs fn(i) for every i in [begin, end), distributing items across the
-  /// pool, and blocks until all complete. fn must be safe to invoke
-  /// concurrently for distinct i. Exceptions propagate from the first
-  /// failing item (rethrown on the calling thread).
-  void ParallelFor(int64_t begin, int64_t end,
-                   const std::function<void(int64_t)>& fn);
-
-  /// ParallelFor with work stealing: each participant (the caller plus up
-  /// to num_threads() pool helpers) owns a deque seeded with a contiguous
+  /// Runs fn(i) for every i in [begin, end) across the pool and blocks
+  /// until all complete. Each participant (the caller plus up to
+  /// num_threads() pool helpers) owns a deque seeded with a contiguous
   /// slice of [begin, end); owners claim items off their own front, and a
   /// participant that runs dry steals the upper half of a victim's back
-  /// range. Use instead of ParallelFor when per-item cost is heavy and
-  /// skewed (ensemble members, residual components): a static split
-  /// strands the tail of a skewed distribution on one worker, stealing
-  /// rebalances it. Same contract otherwise: caller participates (safe to
-  /// call from a worker), blocks until all items complete, first failing
-  /// item's exception rethrown on the calling thread. Helpers ride the
-  /// normal Enqueue path, so the causal-trace shape is identical to
-  /// ParallelFor's at every width (detached pool_task wrappers only).
-  /// Deterministic outputs are the caller's job, exactly as with
-  /// ParallelFor: fn(i) must depend only on i, never on which thread or
-  /// in which order items run.
+  /// range, so a skewed per-item cost (ensemble members, residual
+  /// components) does not strand its tail on one worker. The caller
+  /// participates, so a worker may call this without deadlocking the
+  /// pool. fn must be safe to invoke concurrently for distinct i; the
+  /// first failing item's exception is rethrown on the calling thread.
+  /// Helpers ride the normal Enqueue path, so the causal-trace shape is
+  /// the same at every width (detached pool_task wrappers only).
+  /// Deterministic outputs are the caller's job: fn(i) must depend only
+  /// on i, never on which thread or in which order items run.
   void ParallelForWorkStealing(int64_t begin, int64_t end,
                                const std::function<void(int64_t)>& fn);
 

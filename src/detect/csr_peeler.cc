@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "detect/simd/kernels.h"
 
 namespace ensemfdet {
 
@@ -381,19 +380,14 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
   s.incident_users.clear();
   s.incident_merchants.clear();
 
-  const simd::KernelTable& kern = simd::ActiveKernels();
-  const uint8_t* alive_map = s.view_alive.data();
-
   // Streaming initialization over the slot-aligned view, entirely in
   // member-dense id space: the alive slots of the ascending mask ARE the
   // residual list in ascending order, so every first-touch and
   // accumulation below happens in exactly the order the seed peeler
   // performs it on the compacted residual, and the member numbering is
-  // monotone in parent id, so all id-based tie-breaks agree too. The
-  // alive-bitmap scan is the dispatched kernel (integer — exact at every
-  // ISA level); the per-slot work stays scalar and in slot order.
-  for (int64_t i = kern.next_alive(alive_map, mask_size, 0); i < mask_size;
-       i = kern.next_alive(alive_map, mask_size, i + 1)) {
+  // monotone in parent id, so all id-based tie-breaks agree too.
+  for (int64_t i = 0; i < mask_size; ++i) {
+    if (!s.view_alive[static_cast<size_t>(i)]) continue;
     const int32_t mu = s.view_user_dense[static_cast<size_t>(i)];
     const int32_t mj = s.view_merchant_dense[static_cast<size_t>(i)] -
                        static_cast<int32_t>(num_users);
@@ -422,23 +416,20 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
     return result;  // no alive edges
   }
 
-  // Edge masses: the dispatched gather kernel fills view_user_mass for
-  // EVERY slot (branch-free; dead-slot outputs are garbage nothing
-  // reads — every view array is fully populated by SetResidualView and
-  // col_weight holds only finite values, so the dead lanes are safe to
-  // compute). Each lane is the same two IEEE multiplies as the scalar
-  // expression, elementwise — bit-exact at every ISA level. The
-  // accumulation pass below then runs scalar, in ascending slot order,
-  // so `mass` and the priorities sum in exactly the seed's order.
-  kern.gather_slot_mass(s.view_weight_of.data(), s.view_merchant_dense.data(),
-                        static_cast<int32_t>(num_users), s.col_weight.data(),
-                        weight_scale, mask_size, s.view_user_mass.data());
+  // Edge masses, accumulated in ascending slot order so `mass` and the
+  // priorities sum in exactly the seed's order. Each mass is the seed's
+  // (w · scale) · colw — two IEEE multiplies in that order. Only alive
+  // slots get a mass; the pop loop checks the alive flags before it reads
+  // one.
   double mass = 0.0;
-  for (int64_t i = kern.next_alive(alive_map, mask_size, 0); i < mask_size;
-       i = kern.next_alive(alive_map, mask_size, i + 1)) {
+  for (int64_t i = 0; i < mask_size; ++i) {
+    if (!s.view_alive[static_cast<size_t>(i)]) continue;
     const int32_t mu = s.view_user_dense[static_cast<size_t>(i)];
     const int32_t packed_mv = s.view_merchant_dense[static_cast<size_t>(i)];
-    const double w = s.view_user_mass[static_cast<size_t>(i)];
+    const double w =
+        (s.view_weight_of[static_cast<size_t>(i)] * weight_scale) *
+        s.col_weight[static_cast<size_t>(packed_mv - num_users)];
+    s.view_user_mass[static_cast<size_t>(i)] = w;
     s.view_merchant_mass[static_cast<size_t>(
         s.view_merchant_slot[static_cast<size_t>(i)])] = w;
     s.priority[static_cast<size_t>(mu)] += w;

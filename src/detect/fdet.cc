@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "detect/csr_peeler.h"
 #include "detect/greedy_peeler.h"
-#include "detect/simd/kernels.h"
 #include "graph/subgraph.h"
 #include "obs/metrics.h"
 
@@ -191,13 +190,8 @@ FdetResult RunFdetInView(const CsrGraph& graph,
     for (UserId mu : peel.users) s.in_block_user[mu] = 1;
     for (MerchantId mj : peel.merchants) s.in_block_merchant[mj] = 1;
     int64_t removed_edges = 0;
-    // The alive-slot walk is the dispatched find-next-alive kernel
-    // (integer — exact at every ISA level); slot order is preserved, so
-    // the recorded block edges still come out ascending.
-    const simd::KernelTable& kern = simd::ActiveKernels();
-    const uint8_t* alive_map = s.view_alive.data();
-    for (int64_t i = kern.next_alive(alive_map, mask_size, 0); i < mask_size;
-         i = kern.next_alive(alive_map, mask_size, i + 1)) {
+    for (int64_t i = 0; i < mask_size; ++i) {
+      if (!s.view_alive[static_cast<size_t>(i)]) continue;
       const int32_t mu = s.view_user_dense[static_cast<size_t>(i)];
       const int32_t mj =
           s.view_merchant_dense[static_cast<size_t>(i)] - member_users;

@@ -45,6 +45,17 @@ bool ParseDouble(std::string_view s, double* out) {
   return end == buf + s.size();
 }
 
+// "path:line: message" — the prefix every per-line parse error carries.
+Status LineError(const std::string& path, int64_t line_no,
+                 const std::string& message) {
+  return Status::IOError(path + ":" + std::to_string(line_no) + ": " +
+                         message);
+}
+
+// Node ids are 32-bit, so a count may reach UINT32_MAX and an id stays
+// below it.
+constexpr uint64_t kMaxNodeCount = UINT32_MAX;
+
 }  // namespace
 
 Status SaveEdgeListTsv(const BipartiteGraph& graph, const std::string& path) {
@@ -92,6 +103,12 @@ Result<BipartiteGraph> LoadEdgeListTsv(const std::string& path) {
       std::string tag;
       if (hs >> tag && tag == "bipartite" &&
           (hs >> declared_users >> declared_merchants)) {
+        if (declared_users > kMaxNodeCount ||
+            declared_merchants > kMaxNodeCount) {
+          return LineError(path, line_no,
+                           "declared node count exceeds " +
+                               std::to_string(kMaxNodeCount));
+        }
         has_header = true;
       }
       continue;
@@ -102,12 +119,21 @@ Result<BipartiteGraph> LoadEdgeListTsv(const std::string& path) {
     double weight = 1.0;
     if (!NextField(line, &pos, &f1) || !NextField(line, &pos, &f2) ||
         !ParseU64(f1, &user) || !ParseU64(f2, &merchant)) {
-      return Status::IOError(path + ":" + std::to_string(line_no) +
-                             ": expected `user<TAB>merchant[<TAB>weight]`");
+      return LineError(path, line_no,
+                       "expected `user<TAB>merchant[<TAB>weight]`");
+    }
+    if (user >= kMaxNodeCount) {
+      return LineError(path, line_no,
+                       "user id " + std::string(f1) + " out of range [0, " +
+                           std::to_string(kMaxNodeCount) + ")");
+    }
+    if (merchant >= kMaxNodeCount) {
+      return LineError(path, line_no,
+                       "merchant id " + std::string(f2) + " out of range [0, " +
+                           std::to_string(kMaxNodeCount) + ")");
     }
     if (NextField(line, &pos, &f3) && !ParseDouble(f3, &weight)) {
-      return Status::IOError(path + ":" + std::to_string(line_no) +
-                             ": bad weight field");
+      return LineError(path, line_no, "bad weight field");
     }
     max_user = std::max(max_user, user);
     max_merchant = std::max(max_merchant, merchant);

@@ -221,7 +221,7 @@ void DetectionService::RunJob(const std::shared_ptr<Job>& job) {
     metrics.job_queue_wait_seconds->Record(start_ns - job->submit_ns);
   }
 
-  // A throw out of Execute (e.g. rethrown from ParallelFor) must become a
+  // A throw out of Execute (e.g. rethrown from a pool fan-out) must become a
   // failed job, not a lost task: the destructor waits on tasks_in_flight_.
   Result<JobResult> outcome = [&]() -> Result<JobResult> {
     try {

@@ -23,8 +23,8 @@
 //    ensemble splits its RNG per member, so reports are bit-identical at
 //    any pool width and any submission interleaving.
 //  * No pool deadlock — jobs run *on* pool workers and fan out on the
-//    same pool; ThreadPool::ParallelFor has the caller participate in its
-//    own chunks, so a full pool still makes progress.
+//    same pool; ThreadPool::ParallelForWorkStealing has the caller
+//    participate in its own items, so a full pool still makes progress.
 #ifndef ENSEMFDET_SERVICE_DETECTION_SERVICE_H_
 #define ENSEMFDET_SERVICE_DETECTION_SERVICE_H_
 

@@ -76,59 +76,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
   EXPECT_EQ(done.load(), 64);
 }
 
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr int64_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(0, kN, [&hits](int64_t i) { hits[i].fetch_add(1); });
-  for (int64_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ParallelForTest, NonZeroBegin) {
-  ThreadPool pool(2);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(10, 20, [&sum](int64_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 145);  // 10+...+19
-}
-
-TEST(ParallelForTest, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  std::atomic<int> hits{0};
-  pool.ParallelFor(5, 5, [&hits](int64_t) { hits.fetch_add(1); });
-  pool.ParallelFor(7, 3, [&hits](int64_t) { hits.fetch_add(1); });
-  EXPECT_EQ(hits.load(), 0);
-}
-
-TEST(ParallelForTest, SingleItem) {
-  ThreadPool pool(3);
-  std::atomic<int> hits{0};
-  pool.ParallelFor(0, 1, [&hits](int64_t) { hits.fetch_add(1); });
-  EXPECT_EQ(hits.load(), 1);
-}
-
-TEST(ParallelForTest, ExceptionRethrownOnCaller) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(0, 100,
-                                [](int64_t i) {
-                                  if (i == 37) {
-                                    throw std::runtime_error("item 37");
-                                  }
-                                }),
-               std::runtime_error);
-}
-
-TEST(ParallelForTest, SequentialConsistencyOfResults) {
-  // Writing to disjoint slots must produce identical results regardless of
-  // thread count.
-  auto run = [](int threads) {
-    ThreadPool pool(threads);
-    std::vector<int64_t> out(1000);
-    pool.ParallelFor(0, 1000, [&out](int64_t i) { out[i] = i * i; });
-    return out;
-  };
-  EXPECT_EQ(run(1), run(8));
-}
-
 TEST(DefaultThreadPoolTest, IsSingletonWithThreads) {
   ThreadPool& a = DefaultThreadPool();
   ThreadPool& b = DefaultThreadPool();

@@ -130,6 +130,34 @@ TEST_F(GraphIoTest, EdgeExceedingDeclaredHeaderFails) {
   EXPECT_NE(g.status().message().find("exceed"), std::string::npos);
 }
 
+// Node ids are 32-bit: an id at or past UINT32_MAX, or a header count
+// past it, fails with an IOError that names its line.
+TEST_F(GraphIoTest, IdsBeyond32BitsFailWithTheLine) {
+  struct Case {
+    const char* name;
+    const char* content;
+    const char* line_tag;
+  };
+  const Case cases[] = {
+      {"user_u32max.tsv", "0\t0\n4294967295\t0\n", ":2:"},
+      {"user_2pow32.tsv", "4294967296\t0\n", ":1:"},
+      {"merchant_2pow32.tsv", "0\t0\n1\t1\n0\t4294967296\n", ":3:"},
+      {"user_u64max.tsv", "18446744073709551615\t0\n", ":1:"},
+      {"header_5e9.tsv", "# bipartite 5000000000 3\n0\t0\n", ":1:"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = TempPath(c.name);
+    WriteFile(path, c.content);
+    auto g = LoadEdgeListTsv(path);
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), StatusCode::kIOError);
+    EXPECT_NE(g.status().message().find(path + c.line_tag),
+              std::string::npos)
+        << g.status().message();
+  }
+}
+
 TEST_F(GraphIoTest, MissingFileFails) {
   auto g = LoadEdgeListTsv(TempPath("does_not_exist.tsv"));
   ASSERT_FALSE(g.ok());

@@ -176,19 +176,20 @@ std::string CanonicalShape(const std::vector<CollectedTraceEvent>& events) {
 }
 
 // A detection-shaped workload: a root job span fanning 12 member spans
-// out over the pool via ParallelFor, each member opening a nested stage.
+// out over the pool via ParallelForWorkStealing, each member opening a
+// nested stage.
 std::string RunJobAndCollectShape(int pool_width) {
   ThreadPool pool(pool_width);
   Histogram h;
   {
     ScopedTraceContext root(NewRootContext());
     TraceSpan job(&h, "test_job");
-    pool.ParallelFor(0, 12, [&](int64_t) {
+    pool.ParallelForWorkStealing(0, 12, [&](int64_t) {
       TraceSpan member(&h, "test_member");
       TraceSpan stage(&h, "test_member_stage");
     });
   }
-  // A helper that woke after every chunk was claimed may still be
+  // A helper that woke after every item was claimed may still be
   // emitting its pool_task/flow events; drain only once the pool is idle.
   pool.WaitIdle();
   return CanonicalShape(DrainTraceEvents());
@@ -218,7 +219,7 @@ TEST_F(TraceContextTest, PoolFlowEventsPairUp) {
   {
     ScopedTraceContext root(NewRootContext());
     TraceSpan job(&h, "flow_job");
-    pool.ParallelFor(0, 8, [&](int64_t) {
+    pool.ParallelForWorkStealing(0, 8, [&](int64_t) {
       TraceSpan member(&h, "flow_member");
     });
   }

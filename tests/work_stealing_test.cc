@@ -52,7 +52,22 @@ TEST(WorkStealingTest, EmptyRangeIsANoOp) {
   ThreadPool pool(2);
   bool ran = false;
   pool.ParallelForWorkStealing(5, 5, [&](int64_t) { ran = true; });
+  pool.ParallelForWorkStealing(7, 3, [&](int64_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+TEST(WorkStealingTest, DisjointSlotOutputsMatchAcrossWidths) {
+  // Writing to disjoint slots must produce identical results regardless of
+  // thread count.
+  auto run = [](int threads) {
+    ThreadPool pool(threads);
+    std::vector<int64_t> out(1000);
+    pool.ParallelForWorkStealing(0, 1000, [&out](int64_t i) {
+      out[static_cast<size_t>(i)] = i * i;
+    });
+    return out;
+  };
+  EXPECT_EQ(run(1), run(8));
 }
 
 TEST(WorkStealingTest, SkewedItemCostsStillCoverEverything) {
@@ -84,7 +99,7 @@ TEST(WorkStealingTest, ExceptionFromAnItemPropagatesToCaller) {
                                      completed.fetch_add(1);
                                    }),
       std::runtime_error);
-  // Remaining items still ran (same contract as ParallelFor).
+  // Remaining items still ran.
   EXPECT_EQ(completed.load(), 31);
 }
 

@@ -19,12 +19,10 @@ Checks, per document (schema: bench/README.md):
       - ensemble: members_per_second normalized by the same run's
         materializing-reference throughput must stay within
         --ensemble-tolerance of the baseline's normalized ratio (the
-        in-file reference cancels out runner speed); both documents must
-        name a real SIMD dispatch level (a missing or 'unknown'
-        dispatch.detected/active means the producer lost runtime
-        dispatch); and on runners with >= 4 hardware threads the
-        scaling row at the full hardware-thread width must deliver
-        >= --scaling-floor x the 1-thread row's members_per_second
+        in-file reference cancels out runner speed); and on runners
+        with >= 4 hardware threads the scaling row at the full
+        hardware-thread width must deliver >= --scaling-floor x the
+        1-thread row's members_per_second
         (self-normalized: both rows are timed in the same process, so
         the gate is runner-independent and skips itself on narrow
         machines where the wide arm IS the 1-thread arm),
@@ -51,7 +49,7 @@ import sys
 
 EXPECTED_SCHEMA = {
     "BENCH_peeling.json": 1,
-    "BENCH_ensemble.json": 3,
+    "BENCH_ensemble.json": 4,
     "BENCH_stream.json": 1,
     "BENCH_storage.json": 1,
     "BENCH_obs.json": 1,
@@ -96,19 +94,6 @@ def validate_envelope(name, doc, schema):
             check(value, f"{name}: parity check '{key}' is false")
 
 
-def check_ensemble_dispatch(name, doc):
-    # A schema-3 document must name the ISA level it actually ran at:
-    # a missing or 'unknown' level means the producer lost runtime
-    # dispatch (or the file predates it), and every per-ISA comparison
-    # downstream would silently be scalar-vs-scalar.
-    dispatch = doc.get("dispatch", {})
-    for key in ("detected", "active"):
-        level = dispatch.get(key)
-        check(level not in (None, "", "unknown"),
-              f"{name}: dispatch.{key} missing or 'unknown' — the producer "
-              f"does not know what ISA level it ran at")
-
-
 def check_ensemble_scaling(fresh, floor):
     # Self-normalized multi-core gate: on a runner with >= 4 hardware
     # threads the full-width scaling row must deliver >= floor x the
@@ -135,8 +120,6 @@ def check_ensemble_scaling(fresh, floor):
 def check_ensemble(fresh, baseline, tolerance, scaling_floor):
     check(baseline["graph"]["scale"] == fresh["graph"]["scale"],
           "ensemble: baseline/CI scale mismatch - comparison meaningless")
-    check_ensemble_dispatch("fresh BENCH_ensemble.json", fresh)
-    check_ensemble_dispatch("baseline BENCH_ensemble.json", baseline)
     scaling_note = check_ensemble_scaling(fresh, scaling_floor)
     # Normalize by the materializing-reference throughput measured in the
     # same run: the reference is the in-file speed ruler, so the
@@ -154,8 +137,7 @@ def check_ensemble(fresh, baseline, tolerance, scaling_floor):
           f"(>{100 * (1 - tolerance):.0f}% drop)")
     return (f"ensemble {fresh['throughput']['members_per_second']:.0f} "
             f"members/s = {fresh_ratio:.2f}x ref "
-            f"(baseline {committed_ratio:.2f}x) "
-            f"[{fresh['dispatch']['active']}] {scaling_note}")
+            f"(baseline {committed_ratio:.2f}x) {scaling_note}")
 
 
 def check_stream(fresh, baseline, floor, tolerance):

@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "core/ensemfdet.h"
-#include "detect/simd/isa.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -158,7 +157,6 @@ int Usage() {
       "               [--out-a=FILE] [--out-b=FILE] [--workdir=DIR]\n"
       "  trace-report [--trace=FILE] [--metrics=FILE.json] [--flight=FILE]\n"
       "               [--top=12]\n"
-      "  isa-report   [--require=scalar|avx2|avx512]  (exit 0 iff runnable)\n"
       "\n"
       "observability: every command takes\n"
       "  --metrics-out=FILE   scrape the global metrics registry on exit\n"
@@ -641,37 +639,6 @@ int CmdEvaluate(Flags& flags) {
     }
   }
   return FinishObservability(metrics_out, trace_out);
-}
-
-// ---------------------------------------------------------------------------
-// isa-report: print the SIMD dispatch decision (CPU level, build ceiling,
-// FORCE_ISA, active level). CI's forced-ISA jobs use --require as their
-// CPUID guard: exit 0 only when the CPU *and* build can actually run the
-// requested level, so a forced-AVX2 suite skips cleanly on an incapable
-// runner instead of passing vacuously against a clamped scalar dispatch.
-// ---------------------------------------------------------------------------
-int CmdIsaReport(Flags& flags) {
-  const std::string require = flags.GetString("require", "");
-  flags.DieOnUnknown();
-  std::printf("cpu=%s\n", simd::IsaLevelName(simd::CpuIsaLevel()));
-  std::printf("detected=%s\n", simd::IsaLevelName(simd::DetectedIsaLevel()));
-  std::printf("forced_by_env=%s\n", simd::IsaForcedByEnv() ? "true" : "false");
-  std::printf("active=%s\n", simd::IsaLevelName(simd::ActiveIsaLevel()));
-  if (!require.empty()) {
-    simd::IsaLevel level;
-    if (!simd::ParseIsaLevel(require, &level)) {
-      std::fprintf(stderr, "error: --require=%s is not scalar|avx2|avx512\n",
-                   require.c_str());
-      return 2;
-    }
-    if (simd::DetectedIsaLevel() < level) {
-      std::fprintf(stderr, "[isa-report] %s not available here\n",
-                   require.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "[isa-report] %s available\n", require.c_str());
-  }
-  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -1564,7 +1531,6 @@ int main(int argc, char** argv) {
   if (command == "bench-report") return CmdBenchReport(flags);
   if (command == "metrics-dump") return CmdMetricsDump(flags);
   if (command == "trace-report") return CmdTraceReport(flags);
-  if (command == "isa-report") return CmdIsaReport(flags);
   if (command == "help" || command == "--help") return Usage();
   std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
   return Usage();
