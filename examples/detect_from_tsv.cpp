@@ -71,9 +71,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "[load] %s: %lld users x %lld merchants, %lld edges\n",
                path.c_str(),
-               static_cast<long long>(snapshot->graph->num_users()),
-               static_cast<long long>(snapshot->graph->num_merchants()),
-               static_cast<long long>(snapshot->graph->num_edges()));
+               static_cast<long long>(snapshot->csr->num_users()),
+               static_cast<long long>(snapshot->csr->num_merchants()),
+               static_cast<long long>(snapshot->csr->num_edges()));
 
   const int num_samples = request.ensemble.num_samples;
   const double ratio = request.ensemble.ratio;

@@ -53,9 +53,9 @@ int main() {
   }
   std::printf("graph: %lld users, %lld merchants, %lld edges "
               "(fingerprint %016llx)\n\n",
-              static_cast<long long>(snapshot->graph->num_users()),
-              static_cast<long long>(snapshot->graph->num_merchants()),
-              static_cast<long long>(snapshot->graph->num_edges()),
+              static_cast<long long>(snapshot->csr->num_users()),
+              static_cast<long long>(snapshot->csr->num_merchants()),
+              static_cast<long long>(snapshot->csr->num_edges()),
               static_cast<unsigned long long>(snapshot->fingerprint));
 
   // 3. Configure ENSEMFDET: N sampled graphs at ratio S, FDET with

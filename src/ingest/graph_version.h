@@ -132,9 +132,7 @@ class GraphVersion {
 
   /// CSR form of the live edge set. When the delta-log is empty the base
   /// itself is returned (zero cost); otherwise it is rebuilt through
-  /// Materialize() on every call, O(num_edges). A caller that needs both
-  /// forms should Materialize() once and derive the CSR from that
-  /// (GraphRegistry::PublishVersion does).
+  /// Materialize() on every call, O(num_edges).
   std::shared_ptr<const CsrGraph> MaterializeCsr() const;
 
   /// Serializes this version (base + delta-log + epoch) as a

@@ -1,7 +1,6 @@
 #include "service/detection_service.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "baselines/fbox.h"
@@ -146,30 +145,11 @@ Result<JobId> DetectionService::Submit(JobRequest request) {
 Result<std::shared_ptr<DetectionService::Job>> DetectionService::SubmitJob(
     JobRequest request) {
   // Validate and resolve the snapshot outside the service lock.
-  GraphSnapshot snapshot;
-  if (request.windowed.has_value()) {
-    const WindowedReplaySpec& spec = *request.windowed;
-    ENSEMFDET_RETURN_NOT_OK(ValidateEnsembleConfig(spec.config.ensemble));
-    // Regressions within the detector's reorder slack are fine (the
-    // WindowedDetector buffers them); anything worse would fail mid-job,
-    // so reject it up front. The slack is measured against the running
-    // maximum, exactly as the detector's watermark is.
-    int64_t max_seen = std::numeric_limits<int64_t>::min();
-    for (const Transaction& tx : spec.transactions) {
-      if (max_seen != std::numeric_limits<int64_t>::min() &&
-          tx.timestamp < max_seen - spec.config.max_out_of_order) {
-        return Status::InvalidArgument(
-            "windowed replay transactions regress beyond the "
-            "max_out_of_order slack");
-      }
-      max_seen = std::max(max_seen, tx.timestamp);
-    }
-  } else {
-    if (request.detector == DetectorKind::kEnsemFDet) {
-      ENSEMFDET_RETURN_NOT_OK(ValidateEnsembleConfig(request.ensemble));
-    }
-    ENSEMFDET_ASSIGN_OR_RETURN(snapshot, registry_->Get(request.graph_name));
+  if (request.detector == DetectorKind::kEnsemFDet) {
+    ENSEMFDET_RETURN_NOT_OK(ValidateEnsembleConfig(request.ensemble));
   }
+  ENSEMFDET_ASSIGN_OR_RETURN(GraphSnapshot snapshot,
+                             registry_->Get(request.graph_name));
 
   auto job = std::make_shared<Job>();
   job->request = std::move(request);
@@ -266,9 +246,7 @@ void DetectionService::FinishLocked(const std::shared_ptr<Job>& job,
   job->state = state;
   // Finished jobs only serve Poll/Wait (state/result/error): drop the
   // graph snapshot and request payload now, so retention doesn't pin
-  // whole graphs or replay transaction logs in memory for up to
-  // max_finished_jobs completions.
-  job->snapshot.graph.reset();
+  // whole graphs in memory for up to max_finished_jobs completions.
   job->snapshot.csr.reset();
   job->request = JobRequest();
   --pending_;
@@ -282,7 +260,6 @@ void DetectionService::FinishLocked(const std::shared_ptr<Job>& job,
 }
 
 Result<JobResult> DetectionService::Execute(const Job& job) {
-  if (job.request.windowed.has_value()) return ExecuteWindowedReplay(job);
   if (job.request.detector == DetectorKind::kEnsemFDet) {
     return ExecuteEnsemble(job);
   }
@@ -309,8 +286,7 @@ Result<JobResult> DetectionService::ExecuteEnsemble(const Job& job) {
   WallTimer timer;
   EnsemFDet detector(job.request.ensemble);
   // Run the zero-materialization hot path on the snapshot's shared CSR
-  // (built once at Publish) — no per-job re-conversion of the adjacency
-  // graph.
+  // (built once at publish time) — no per-job conversion.
   ENSEMFDET_CHECK(job.snapshot.csr != nullptr);
   ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport report,
                              detector.Run(*job.snapshot.csr, pool_));
@@ -330,19 +306,20 @@ Result<JobResult> DetectionService::ExecuteBaseline(const Job& job) {
   result.graph_fingerprint = job.snapshot.fingerprint;
   result.graph_version = job.snapshot.version;
 
-  const BipartiteGraph& graph = *job.snapshot.graph;
+  // FRAUDAR peels the snapshot's CSR directly. HITS, SPOKEN and FBOX take
+  // the adjacency form, which the registry does not hold: each such job
+  // converts once and the copy dies with the job. ToBipartite() is an
+  // exact round trip, so the scores equal a run on the published graph.
+  ENSEMFDET_CHECK(job.snapshot.csr != nullptr);
+  const CsrGraph& csr = *job.snapshot.csr;
   WallTimer timer;
   switch (job.request.detector) {
     case DetectorKind::kFraudar: {
-      // Peel the snapshot's shared CSR form directly (Publish always
-      // materializes it alongside the adjacency graph).
-      ENSEMFDET_CHECK(job.snapshot.csr != nullptr);
-      ENSEMFDET_ASSIGN_OR_RETURN(
-          FraudarResult fraudar,
-          RunFraudar(*job.snapshot.csr, FraudarConfig{}));
+      ENSEMFDET_ASSIGN_OR_RETURN(FraudarResult fraudar,
+                                 RunFraudar(csr, FraudarConfig{}));
       // Suspiciousness = φ of the densest detected block containing the
       // user (blocks are disjoint, so "densest" is "its" block).
-      result.user_scores.assign(static_cast<size_t>(graph.num_users()), 0.0);
+      result.user_scores.assign(static_cast<size_t>(csr.num_users()), 0.0);
       for (const DetectedBlock& block : fraudar.blocks) {
         for (UserId u : block.users) {
           result.user_scores[u] = std::max(result.user_scores[u], block.score);
@@ -351,17 +328,20 @@ Result<JobResult> DetectionService::ExecuteBaseline(const Job& job) {
       break;
     }
     case DetectorKind::kHits: {
-      ENSEMFDET_ASSIGN_OR_RETURN(HitsResult hits, RunHits(graph, {}));
+      ENSEMFDET_ASSIGN_OR_RETURN(HitsResult hits,
+                                 RunHits(csr.ToBipartite(), {}));
       result.user_scores = std::move(hits.user_hub_scores);
       break;
     }
     case DetectorKind::kSpoken: {
-      ENSEMFDET_ASSIGN_OR_RETURN(SpokenResult spoken, RunSpoken(graph, {}));
+      ENSEMFDET_ASSIGN_OR_RETURN(SpokenResult spoken,
+                                 RunSpoken(csr.ToBipartite(), {}));
       result.user_scores = std::move(spoken.user_scores);
       break;
     }
     case DetectorKind::kFbox: {
-      ENSEMFDET_ASSIGN_OR_RETURN(FboxResult fbox, RunFbox(graph, {}));
+      ENSEMFDET_ASSIGN_OR_RETURN(FboxResult fbox,
+                                 RunFbox(csr.ToBipartite(), {}));
       result.user_scores = std::move(fbox.user_scores);
       break;
     }
@@ -369,33 +349,6 @@ Result<JobResult> DetectionService::ExecuteBaseline(const Job& job) {
       return Status::Internal("ensemble job routed to ExecuteBaseline");
   }
   result.seconds = timer.ElapsedSeconds();
-  return result;
-}
-
-Result<JobResult> DetectionService::ExecuteWindowedReplay(const Job& job) {
-  const WindowedReplaySpec& spec = *job.request.windowed;
-  JobResult result;
-  result.detector = DetectorKind::kEnsemFDet;
-  result.config_hash = HashEnsemFDetConfig(spec.config.ensemble);
-
-  WallTimer timer;
-  WindowedDetector detector(spec.config, pool_);
-  std::optional<EnsemFDetReport> last;
-  for (const Transaction& tx : spec.transactions) {
-    ENSEMFDET_ASSIGN_OR_RETURN(std::optional<EnsemFDetReport> fired,
-                               detector.Ingest(tx));
-    if (fired.has_value()) {
-      ++result.windowed_detections;
-      last = std::move(fired);
-    }
-  }
-  if (spec.final_detection || !last.has_value()) {
-    ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport final_report,
-                               detector.DetectNow());
-    last = std::move(final_report);
-  }
-  result.seconds = timer.ElapsedSeconds();
-  result.report = std::make_shared<const EnsemFDetReport>(*std::move(last));
   return result;
 }
 

@@ -65,27 +65,14 @@ const char* DetectorKindName(DetectorKind kind);
 /// Inverse of DetectorKindName; NotFound for unknown names.
 Result<DetectorKind> ParseDetectorKind(const std::string& name);
 
-/// Replay a timestamped transaction log through a WindowedDetector
-/// instead of detecting over a registry graph.
-struct WindowedReplaySpec {
-  WindowedDetectorConfig config;
-  std::vector<Transaction> transactions;
-  /// Also force a detection over the final window after the replay.
-  bool final_detection = true;
-};
-
 struct JobRequest {
-  /// Registry name of the graph to detect over (ignored for windowed
-  /// replay jobs).
+  /// Registry name of the graph to detect over.
   std::string graph_name;
   DetectorKind detector = DetectorKind::kEnsemFDet;
   /// Per-job ensemble configuration (kEnsemFDet jobs).
   EnsemFDetConfig ensemble;
   /// Consult/populate the ResultCache (kEnsemFDet jobs only).
   bool use_cache = true;
-  /// When set, the job is a windowed streaming replay; `detector` and
-  /// `graph_name` are ignored (the spec embeds its own ensemble config).
-  std::optional<WindowedReplaySpec> windowed;
 };
 
 using JobId = uint64_t;
@@ -210,13 +197,11 @@ struct JobResult {
   /// Wall-clock spent producing the result (≈0 on cache hits).
   double seconds = 0.0;
 
-  /// Ensemble report (kEnsemFDet and windowed-replay jobs).
+  /// Ensemble report (kEnsemFDet jobs).
   std::shared_ptr<const EnsemFDetReport> report;
   /// Per-user suspiciousness (baseline jobs): hub scores for HITS, SVD
   /// scores for SPOKEN/FBOX, densest-containing-block φ for FRAUDAR.
   std::vector<double> user_scores;
-  /// Number of boundary detections fired during a windowed replay.
-  int64_t windowed_detections = 0;
 };
 
 /// Async detection front-end (see file comment for the four contracts).
@@ -253,10 +238,9 @@ class DetectionService {
   /// pending bound is hit, NotFound when the graph is not published,
   /// InvalidArgument on a malformed request.
   ///
-  /// @pre For non-windowed jobs, `request.graph_name` is published in the
-  ///      registry at call time (the snapshot — graph, CSR form, and
-  ///      fingerprint — is captured here; later re-publishes don't affect
-  ///      the job).
+  /// @pre `request.graph_name` is published in the registry at call time
+  ///      (the snapshot — CSR and fingerprint — is captured here; later
+  ///      re-publishes don't affect the job).
   /// @post On OK, pending_jobs() was below max_pending_jobs and the job
   ///       is queued (or already finished, when pool == nullptr).
   Result<JobId> Submit(JobRequest request);
@@ -419,7 +403,6 @@ class DetectionService {
   Result<JobResult> Execute(const Job& job);
   Result<JobResult> ExecuteEnsemble(const Job& job);
   Result<JobResult> ExecuteBaseline(const Job& job);
-  Result<JobResult> ExecuteWindowedReplay(const Job& job);
   void FinishLocked(const std::shared_ptr<Job>& job, JobState state);
 
   GraphRegistry* const registry_;

@@ -1,4 +1,4 @@
-// GraphRegistry: a thread-safe catalog of named, immutable BipartiteGraph
+// GraphRegistry: a thread-safe catalog of named, immutable CsrGraph
 // snapshots — the service layer's source of truth for "which graph does
 // this request mean".
 //
@@ -30,18 +30,17 @@
 
 namespace ensemfdet {
 
-/// One published graph: shared, immutable, fingerprinted. Both
-/// representations are materialized at Publish() time so every job over
-/// the snapshot shares the same flat CSR arrays instead of re-converting.
+/// One published graph: shared, immutable, fingerprinted. The CSR is the
+/// only form the registry holds, so every job over the snapshot shares
+/// the same flat arrays (for a loaded .efg, the file mapping itself).
 struct GraphSnapshot {
   std::string name;
   /// Monotonically increasing per name, starting at 1.
   uint64_t version = 0;
-  /// FingerprintGraph(*graph) == FingerprintGraph(*csr).
+  /// FingerprintGraph(*csr).
   uint64_t fingerprint = 0;
-  std::shared_ptr<const BipartiteGraph> graph;
-  /// CSR form of the same graph, built once at Publish(); immutable and
-  /// safe to share across ThreadPool workers.
+  /// Built once at publish time; immutable and safe to share across
+  /// ThreadPool workers.
   std::shared_ptr<const CsrGraph> csr;
 };
 
@@ -51,25 +50,20 @@ class GraphRegistry {
   GraphRegistry(const GraphRegistry&) = delete;
   GraphRegistry& operator=(const GraphRegistry&) = delete;
 
-  /// Publishes `graph` under `name`, replacing any existing entry (the old
-  /// snapshot stays valid for holders). Returns the new snapshot.
-  /// Fails with InvalidArgument on an empty name.
+  /// Publishes the CSR form of `graph` under `name`, replacing any
+  /// existing entry (the old snapshot stays valid for holders). Returns
+  /// the new snapshot. Fails with InvalidArgument on an empty name.
   Result<GraphSnapshot> Publish(const std::string& name,
-                                BipartiteGraph graph);
-
-  /// Publishes an already-shared graph without copying it.
-  Result<GraphSnapshot> Publish(const std::string& name,
-                                std::shared_ptr<const BipartiteGraph> graph);
+                                const BipartiteGraph& graph);
 
   /// Publishes the live edge set of an incremental-ingest GraphVersion
-  /// under `name`. The live edge set is materialized once and the CSR
-  /// derived from it (the frozen base itself when the delta-log is
-  /// empty), and the snapshot fingerprint is
-  /// version.ContentFingerprint() — equal to FingerprintGraph of the
-  /// materialized adjacency and CSR forms by the graph/fingerprint.h
-  /// contract, so ResultCache keys stay representation-independent: a
-  /// batch job over a streamed-then-registered graph and one over the
-  /// same content published from a BipartiteGraph share cache entries.
+  /// under `name` as version.MaterializeCsr() (the frozen base itself when
+  /// the delta-log is empty). The snapshot fingerprint is
+  /// version.ContentFingerprint() — equal to FingerprintGraph of the CSR
+  /// by the graph/fingerprint.h contract, so ResultCache keys stay
+  /// representation-independent: a batch job over a streamed-then-
+  /// registered graph and one over the same content published from a
+  /// BipartiteGraph share cache entries.
   Result<GraphSnapshot> PublishVersion(const std::string& name,
                                        const GraphVersion& version);
 
@@ -80,12 +74,11 @@ class GraphRegistry {
                       const std::string& path) const;
 
   /// Publishes the graph stored in an .efg snapshot under `name`, serving
-  /// the CSR form zero-copy off a file mapping (ensemble jobs run
-  /// directly on the mapped arrays; the adjacency form is materialized
-  /// for baseline detectors). The file's content fingerprint is
-  /// re-verified against the mapped payload before anything is published
-  /// — and it becomes the snapshot's fingerprint, so ResultCache keys
-  /// stay representation-independent: a job over a snapshot-loaded graph
+  /// the CSR zero-copy off a file mapping: the mapping is the only copy
+  /// of the graph. The file's content fingerprint is re-verified against
+  /// the mapped payload before anything is published — and it becomes
+  /// the snapshot's fingerprint, so ResultCache keys stay
+  /// representation-independent: a job over a snapshot-loaded graph
   /// cache-hits against the same content published from TSV.
   Result<GraphSnapshot> LoadSnapshot(const std::string& name,
                                      const std::string& path);
@@ -106,9 +99,12 @@ class GraphRegistry {
   struct Entry {
     uint64_t version = 0;
     uint64_t fingerprint = 0;
-    std::shared_ptr<const BipartiteGraph> graph;
     std::shared_ptr<const CsrGraph> csr;
   };
+
+  /// Installs (fingerprint, csr) as the next version of `name`.
+  GraphSnapshot Install(const std::string& name, uint64_t fingerprint,
+                        std::shared_ptr<const CsrGraph> csr);
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;

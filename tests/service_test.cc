@@ -1,12 +1,19 @@
 #include "service/detection_service.h"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <filesystem>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/fbox.h"
+#include "baselines/fraudar.h"
+#include "baselines/hits.h"
+#include "baselines/spoken.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -82,7 +89,7 @@ TEST(GraphRegistryTest, PublishGetRemove) {
   auto got = registry.Get("g");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->fingerprint, snap->fingerprint);
-  EXPECT_EQ(got->graph.get(), snap->graph.get());
+  EXPECT_EQ(got->csr.get(), snap->csr.get());
 
   EXPECT_EQ(registry.Get("missing").status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(registry.Remove("g").ok());
@@ -101,13 +108,13 @@ TEST(GraphRegistryTest, RepublishBumpsVersionAndIsolatesSnapshots) {
   auto v1 = registry.Publish("g", PlantedGraph(3)).ValueOrDie();
   // Holders of the old snapshot keep a valid, unchanged graph after a
   // re-publish (snapshot isolation).
-  std::shared_ptr<const BipartiteGraph> held = v1.graph;
+  std::shared_ptr<const CsrGraph> held = v1.csr;
   const int64_t held_edges = held->num_edges();
 
   auto v2 = registry.Publish("g", PlantedGraph(4)).ValueOrDie();
   EXPECT_EQ(v2.version, 2u);
   EXPECT_NE(v2.fingerprint, v1.fingerprint);
-  EXPECT_NE(v2.graph.get(), held.get());
+  EXPECT_NE(v2.csr.get(), held.get());
   EXPECT_EQ(held->num_edges(), held_edges);
   EXPECT_EQ(registry.Get("g").ValueOrDie().version, 2u);
 }
@@ -153,7 +160,7 @@ TEST(GraphRegistryTest, ConcurrentPublishAndGet) {
   // Readers must always see a complete snapshot.
   while (!stop.load()) {
     auto snap = registry.Get("g").ValueOrDie();
-    EXPECT_EQ(snap.fingerprint, FingerprintGraph(*snap.graph));
+    EXPECT_EQ(snap.fingerprint, FingerprintGraph(*snap.csr));
   }
   writer.join();
   EXPECT_EQ(registry.Get("g").ValueOrDie().version, 21u);
@@ -468,83 +475,80 @@ TEST(DetectionServiceTest, CancelBeforeRunYieldsCancelledState) {
   EXPECT_TRUE(service.Wait(running).ok());
 }
 
+// Bit patterns, so score comparisons are exact (no -0.0 == 0.0 slack).
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  bits.reserve(values.size());
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+// What a baseline job must report: the direct library call on the
+// adjacency graph, with FRAUDAR's blocks scored as the φ of the densest
+// block containing each user.
+std::vector<double> DirectBaselineScores(DetectorKind kind,
+                                         const BipartiteGraph& graph) {
+  switch (kind) {
+    case DetectorKind::kFraudar: {
+      FraudarResult fraudar = RunFraudar(graph, FraudarConfig{}).ValueOrDie();
+      std::vector<double> scores(static_cast<size_t>(graph.num_users()), 0.0);
+      for (const DetectedBlock& block : fraudar.blocks) {
+        for (UserId u : block.users) {
+          scores[u] = std::max(scores[u], block.score);
+        }
+      }
+      return scores;
+    }
+    case DetectorKind::kHits:
+      return RunHits(graph, {}).ValueOrDie().user_hub_scores;
+    case DetectorKind::kSpoken:
+      return RunSpoken(graph, {}).ValueOrDie().user_scores;
+    case DetectorKind::kFbox:
+      return RunFbox(graph, {}).ValueOrDie().user_scores;
+    case DetectorKind::kEnsemFDet:
+      break;
+  }
+  ADD_FAILURE() << "not a baseline detector";
+  return {};
+}
+
 TEST(DetectionServiceTest, BaselineJobsProduceScores) {
   GraphRegistry registry;
   ThreadPool pool(2);
   DetectionService service(&registry, &pool);
   const BipartiteGraph graph = PlantedGraph();
   registry.Publish("g", graph).ValueOrDie();
+  // The same graph served off an .efg mapping.
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "ensemfdet_service_test_baselines.efg")
+                               .string();
+  ASSERT_TRUE(registry.SaveSnapshot("g", path).ok());
+  auto loaded = registry.LoadSnapshot("g_efg", path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->csr->is_view());
 
-  for (DetectorKind kind : {DetectorKind::kFraudar, DetectorKind::kHits,
-                            DetectorKind::kSpoken, DetectorKind::kFbox}) {
-    JobRequest request;
-    request.graph_name = "g";
-    request.detector = kind;
-    auto result = service.Detect(request);
-    ASSERT_TRUE(result.ok()) << DetectorKindName(kind) << ": "
-                             << result.status().ToString();
-    EXPECT_EQ((*result)->detector, kind);
-    ASSERT_EQ(static_cast<int64_t>((*result)->user_scores.size()),
-              graph.num_users())
-        << DetectorKindName(kind);
-    EXPECT_EQ((*result)->report, nullptr);
-  }
-  // Baseline jobs never touch the ensemble result cache.
-  EXPECT_EQ(service.cache_stats().lookups(), 0);
-}
-
-TEST(DetectionServiceTest, WindowedReplayJob) {
-  GraphRegistry registry;
-  ThreadPool pool(2);
-  DetectionService service(&registry, &pool);
-
-  // A burst of ring traffic: 8 users × 3 merchants, repeated over time.
-  JobRequest request;
-  WindowedReplaySpec spec;
-  spec.config.num_users = 40;
-  spec.config.num_merchants = 20;
-  spec.config.window = 100;
-  spec.config.detection_interval = 50;
-  spec.config.ensemble = SmallConfig();
-  int64_t ts = 0;
-  for (int round = 0; round < 30; ++round) {
-    for (UserId u = 0; u < 8; ++u) {
-      spec.transactions.push_back(
-          {ts, u, static_cast<MerchantId>(u % 3)});
-      ts += 1;
+  for (const char* name : {"g", "g_efg"}) {
+    for (DetectorKind kind : {DetectorKind::kFraudar, DetectorKind::kHits,
+                              DetectorKind::kSpoken, DetectorKind::kFbox}) {
+      JobRequest request;
+      request.graph_name = name;
+      request.detector = kind;
+      auto result = service.Detect(request);
+      ASSERT_TRUE(result.ok()) << name << "/" << DetectorKindName(kind)
+                               << ": " << result.status().ToString();
+      EXPECT_EQ((*result)->detector, kind);
+      ASSERT_EQ(static_cast<int64_t>((*result)->user_scores.size()),
+                graph.num_users())
+          << name << "/" << DetectorKindName(kind);
+      EXPECT_EQ(Bits((*result)->user_scores),
+                Bits(DirectBaselineScores(kind, graph)))
+          << name << "/" << DetectorKindName(kind);
+      EXPECT_EQ((*result)->report, nullptr);
     }
   }
-  request.windowed = std::move(spec);
-
-  auto result = service.Detect(std::move(request));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GE((*result)->windowed_detections, 1);
-  ASSERT_NE((*result)->report, nullptr);
-  EXPECT_EQ((*result)->report->votes.num_users(), 40);
-}
-
-TEST(DetectionServiceTest, WindowedReplayRejectsBadRequestsAtSubmit) {
-  GraphRegistry registry;
-  DetectionService service(&registry, nullptr);
-
-  JobRequest out_of_order;
-  WindowedReplaySpec spec;
-  spec.config.num_users = 4;
-  spec.config.num_merchants = 4;
-  spec.config.ensemble = SmallConfig();
-  spec.transactions = {{10, 0, 0}, {5, 1, 1}};
-  out_of_order.windowed = spec;
-  EXPECT_EQ(service.Submit(std::move(out_of_order)).status().code(),
-            StatusCode::kInvalidArgument);
-
-  // The embedded ensemble config is validated up front too, same as for
-  // non-windowed jobs.
-  JobRequest bad_config;
-  spec.transactions = {{5, 1, 1}, {10, 0, 0}};
-  spec.config.ensemble.ratio = 1.5;
-  bad_config.windowed = std::move(spec);
-  EXPECT_EQ(service.Submit(std::move(bad_config)).status().code(),
-            StatusCode::kInvalidArgument);
+  std::filesystem::remove(path);
+  // Baseline jobs never touch the ensemble result cache.
+  EXPECT_EQ(service.cache_stats().lookups(), 0);
 }
 
 TEST(DetectionServiceTest, DetectSurvivesFinishedJobEviction) {

@@ -326,7 +326,6 @@ TEST(RegistrySnapshot, SaveLoadKeepsFingerprintAndCacheKeys) {
   EXPECT_EQ(loaded->fingerprint, published->fingerprint);
   EXPECT_TRUE(loaded->csr->is_view());  // zero-copy off the mapping
   EXPECT_EQ(FingerprintGraph(*loaded->csr), loaded->fingerprint);
-  EXPECT_EQ(FingerprintGraph(*loaded->graph), loaded->fingerprint);
 
   // Representation independence end to end: a job over the mmap-loaded
   // graph must cache-hit against the TSV-published one.

@@ -428,9 +428,9 @@ int LoadAndPublishGraph(Flags& flags, GraphRegistry& registry,
                "[load] %s (%s): %lld users x %lld merchants, %lld edges "
                "(fingerprint %016llx)\n",
                path.c_str(), IsSnapshotPath(path) ? "mmap snapshot" : "tsv",
-               (long long)published->graph->num_users(),
-               (long long)published->graph->num_merchants(),
-               (long long)published->graph->num_edges(),
+               (long long)published->csr->num_users(),
+               (long long)published->csr->num_merchants(),
+               (long long)published->csr->num_edges(),
                (unsigned long long)published->fingerprint);
   *snapshot = std::move(published).value();
   return 0;
@@ -573,7 +573,7 @@ int CmdSaveGraph(Flags& flags) {
   std::fprintf(stderr,
                "[save-graph] %s: %lld edges, fingerprint %016llx "
                "(mmap round-trip verified)\n",
-               out.c_str(), (long long)snapshot.graph->num_edges(),
+               out.c_str(), (long long)snapshot.csr->num_edges(),
                (unsigned long long)snapshot.fingerprint);
   return FinishObservability(metrics_out, trace_out);
 }
@@ -604,7 +604,7 @@ int CmdEvaluate(Flags& flags) {
   GraphSnapshot snapshot;
   int rc = LoadAndPublishGraph(flags, registry, &snapshot);
   if (rc != 0) return rc;
-  auto labels = LoadLabels(labels_path, snapshot.graph->num_users());
+  auto labels = LoadLabels(labels_path, snapshot.csr->num_users());
   if (!labels.ok()) return FailWith(labels.status());
 
   // Evaluation needs a vote table, so only the ensemble detector makes
@@ -707,24 +707,27 @@ int CmdBenchSmoke(Flags& flags) {
   SMOKE_CHECK(hits.ok() && !(*hits)->user_scores.empty(),
               "baseline (hits) job through the service");
 
-  // Windowed replay over a synthetic minute-long transaction burst.
-  JobRequest windowed;
-  WindowedReplaySpec spec;
-  spec.config.num_users = dataset->graph.num_users();
-  spec.config.num_merchants = dataset->graph.num_merchants();
-  spec.config.window = 600;
-  spec.config.detection_interval = 300;
-  spec.config.ensemble = request.ensemble;
+  // A streaming session over a synthetic minute-long transaction burst.
+  StreamSessionConfig session;
+  session.detector.num_users = dataset->graph.num_users();
+  session.detector.num_merchants = dataset->graph.num_merchants();
+  session.detector.window = 600;
+  session.detector.detection_interval = 300;
+  session.detector.ensemble = request.ensemble;
+  auto stream = service.OpenStream(session);
+  SMOKE_CHECK(stream.ok(), "open streaming session");
+  IngestBatch burst;
   int64_t ts = 0;
   for (const Edge& e : dataset->graph.edges()) {
-    spec.transactions.push_back({ts, e.user, e.merchant});
-    if (spec.transactions.size() >= 2000) break;
+    burst.transactions.push_back({ts, e.user, e.merchant});
+    if (burst.transactions.size() >= 2000) break;
     ts += 1;
   }
-  windowed.windowed = std::move(spec);
-  auto replay = service.Detect(std::move(windowed));
-  SMOKE_CHECK(replay.ok() && (*replay)->report != nullptr,
-              "windowed streaming replay job");
+  Status ingested = service.IngestBatch(*stream, std::move(burst));
+  auto finished = service.FinishStream(*stream);
+  SMOKE_CHECK(ingested.ok() && finished.ok() && finished->error.ok() &&
+                  finished->report != nullptr,
+              "streaming session over a transaction burst");
 
   ResultCacheStats stats = service.cache_stats();
   SMOKE_CHECK(stats.hits >= 1 && stats.misses >= 1, "cache stats counted");
@@ -987,7 +990,7 @@ int CmdStreamReplay(Flags& flags) {
                    register_name.c_str(),
                    (unsigned long long)snapshot->version,
                    (unsigned long long)snapshot->fingerprint,
-                   (long long)snapshot->graph->num_edges());
+                   (long long)snapshot->csr->num_edges());
     }
   }
   PrintCacheStats(service);
