@@ -5,7 +5,6 @@
 
 #include "common/thread_pool.h"
 #include "datagen/presets.h"
-#include "detect/partitioned_fdet.h"
 #include "ensemble/ensemfdet.h"
 
 namespace ensemfdet {
@@ -47,37 +46,6 @@ void BM_EnsembleSequentialBaseline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnsembleSequentialBaseline)->Unit(benchmark::kMillisecond);
-
-void BM_PartitionedFdet(benchmark::State& state) {
-  const Dataset& data = SharedDataset();
-  PartitionedFdetConfig cfg;
-  cfg.fdet.policy = TruncationPolicy::kFixedK;
-  cfg.fdet.fixed_k = 10;
-  cfg.min_component_edges = 3;
-  const int threads = static_cast<int>(state.range(0));
-  ThreadPool pool(threads);
-  for (auto _ : state) {
-    auto r = RunPartitionedFdet(data.graph, cfg,
-                                threads > 1 ? &pool : nullptr)
-                 .ValueOrDie();
-    benchmark::DoNotOptimize(r.blocks.size());
-  }
-  state.SetLabel(std::to_string(threads) + " threads");
-}
-BENCHMARK(BM_PartitionedFdet)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_GlobalFdetBaseline(benchmark::State& state) {
-  const Dataset& data = SharedDataset();
-  FdetConfig cfg;
-  cfg.policy = TruncationPolicy::kFixedK;
-  cfg.fixed_k = 10;
-  for (auto _ : state) {
-    auto r = RunFdet(data.graph, cfg).ValueOrDie();
-    benchmark::DoNotOptimize(r.blocks.size());
-  }
-}
-BENCHMARK(BM_GlobalFdetBaseline)->Unit(benchmark::kMillisecond);
 
 void BM_ThreadPoolDispatchOverhead(benchmark::State& state) {
   ThreadPool pool(4);

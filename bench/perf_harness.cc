@@ -18,9 +18,6 @@
 #include "common/timer.h"
 #include "datagen/presets.h"
 #include "datagen/transaction_stream.h"
-#include "detect/csr_peeler.h"
-#include "detect/fdet.h"
-#include "detect/greedy_peeler.h"
 #include "ensemble/ensemfdet.h"
 #include "graph/csr_graph.h"
 #include "graph/fingerprint.h"
@@ -102,31 +99,10 @@ void AppendTimingsJson(std::string* out, const std::vector<Timing>& timings) {
   out->append("  ],\n");
 }
 
-bool SamePeel(const PeelResult& a, const PeelResult& b) {
-  return a.users == b.users && a.merchants == b.merchants &&
-         a.score == b.score;
-}
-
-bool SameFdet(const FdetResult& a, const FdetResult& b) {
-  if (a.all_scores != b.all_scores ||
-      a.truncation_index != b.truncation_index ||
-      a.blocks.size() != b.blocks.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.blocks.size(); ++i) {
-    if (a.blocks[i].users != b.blocks[i].users ||
-        a.blocks[i].merchants != b.blocks[i].merchants ||
-        a.blocks[i].score != b.blocks[i].score ||
-        a.blocks[i].edges != b.blocks[i].edges) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // Bit-exact ensemble report equality (votes, weighted votes, member
-// structural stats) — shared by the obs bench's instrumentation-must-not-
-// perturb-results gate.
+// structural stats) — the ensemble bench's vote-identity gate across pool
+// widths and the obs bench's instrumentation-must-not-perturb-results
+// gate.
 bool SameEnsembleReports(const EnsemFDetReport& a, const EnsemFDetReport& b) {
   if (a.num_samples != b.num_samples ||
       a.votes.all_user_votes().size() != b.votes.all_user_votes().size() ||
@@ -155,82 +131,6 @@ bool SameEnsembleReports(const EnsemFDetReport& a, const EnsemFDetReport& b) {
 }
 
 }  // namespace
-
-Result<std::string> RunPeelingBench(const PeelingBenchOptions& options) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
-  ENSEMFDET_ASSIGN_OR_RETURN(
-      Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
-                                        options.graph.scale,
-                                        options.graph.seed));
-  const BipartiteGraph& graph = dataset.graph;
-
-  FdetConfig fdet_config;
-  fdet_config.max_blocks = options.max_blocks;
-  const DensityConfig density;
-
-  // Untimed reference runs establish parity before anything is measured.
-  CsrGraph csr = CsrGraph::FromBipartite(graph);
-  const PeelResult adjacency_peel = PeelIncidentSubgraph(graph, density);
-  const PeelResult csr_peel = PeelDensestBlockCsr(csr, density);
-  ENSEMFDET_ASSIGN_OR_RETURN(const FdetResult adjacency_fdet,
-                             RunFdetReference(graph, fdet_config));
-  ENSEMFDET_ASSIGN_OR_RETURN(const FdetResult csr_fdet,
-                             RunFdetCsr(csr, fdet_config));
-  const bool peel_identical = SamePeel(adjacency_peel, csr_peel);
-  const bool fdet_identical = SameFdet(adjacency_fdet, csr_fdet);
-  if (!peel_identical || !fdet_identical) {
-    return Status::Internal(
-        "CSR peeler diverged from the adjacency-list peeler on the bench "
-        "graph — refusing to emit BENCH_peeling.json");
-  }
-
-  std::vector<Timing> timings;
-  timings.push_back(Measure("csr_convert", options.repeats, [&] {
-    CsrGraph converted = CsrGraph::FromBipartite(graph);
-    (void)converted;
-  }));
-  timings.push_back(Measure("adjacency_single_peel", options.repeats, [&] {
-    PeelResult r = PeelDensestBlock(graph, density);
-    (void)r;
-  }));
-  timings.push_back(Measure("csr_single_peel", options.repeats, [&] {
-    PeelResult r = PeelDensestBlockCsr(csr, density);
-    (void)r;
-  }));
-  timings.push_back(Measure("adjacency_fdet", options.repeats, [&] {
-    FdetResult r = RunFdetReference(graph, fdet_config).ValueOrDie();
-    (void)r;
-  }));
-  timings.push_back(Measure("csr_fdet", options.repeats, [&] {
-    FdetResult r = RunFdetCsr(csr, fdet_config).ValueOrDie();
-    (void)r;
-  }));
-
-  const double peel_speedup = timings[1].seconds_min / timings[2].seconds_min;
-  const double fdet_speedup = timings[3].seconds_min / timings[4].seconds_min;
-
-  std::string out;
-  out.append("{\n");
-  out.append("  \"schema_version\": 1,\n");
-  out.append("  \"bench\": \"peeling\",\n");
-  AppendGraphJson(&out, options.graph, graph);
-  AppendF(&out, "  \"config\": {\"repeats\": %d, \"max_blocks\": %d},\n",
-          options.repeats, options.max_blocks);
-  AppendTimingsJson(&out, timings);
-  AppendF(&out,
-          "  \"speedup\": {\"csr_single_peel_vs_adjacency\": %.4g, "
-          "\"csr_fdet_vs_adjacency\": %.4g},\n",
-          peel_speedup, fdet_speedup);
-  AppendF(&out,
-          "  \"parity\": {\"single_peel_identical\": %s, "
-          "\"fdet_identical\": %s}\n",
-          peel_identical ? "true" : "false",
-          fdet_identical ? "true" : "false");
-  out.append("}\n");
-  return out;
-}
 
 Result<std::string> RunStorageBench(const StorageBenchOptions& options,
                                     StorageBenchSummary* summary) {
@@ -351,9 +251,8 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
                                         options.graph.scale,
                                         options.graph.seed));
   const BipartiteGraph& graph = dataset.graph;
-  // The hot path runs over the shared CSR form, built once — matching how
-  // the service serves jobs (GraphSnapshot materializes the CSR at
-  // Publish); only the reference path pays per-member materialization.
+  // The ensemble runs over the shared CSR form, built once — matching how
+  // the service serves jobs (a GraphSnapshot holds the CSR).
   const CsrGraph csr = CsrGraph::FromBipartite(graph);
 
   EnsemFDetConfig config;
@@ -384,45 +283,10 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
       scaling_widths.end());
   EnsemFDet detector(config);
 
-  // Untimed parity gate: the zero-materialization hot path must reproduce
-  // the materializing reference bit for bit before anything is measured —
-  // a BENCH_ensemble.json is also a correctness witness.
-  ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport hot, detector.Run(csr, pool));
-  ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport reference,
-                             detector.RunReference(graph, pool));
-  bool votes_identical =
-      hot.votes.all_user_votes().size() ==
-          reference.votes.all_user_votes().size() &&
-      hot.votes.all_merchant_votes().size() ==
-          reference.votes.all_merchant_votes().size() &&
-      std::equal(hot.votes.all_user_votes().begin(),
-                 hot.votes.all_user_votes().end(),
-                 reference.votes.all_user_votes().begin()) &&
-      std::equal(hot.votes.all_merchant_votes().begin(),
-                 hot.votes.all_merchant_votes().end(),
-                 reference.votes.all_merchant_votes().begin());
-  bool weighted_identical =
-      hot.weighted_user_votes == reference.weighted_user_votes &&
-      hot.weighted_merchant_votes == reference.weighted_merchant_votes;
-  bool members_identical = hot.members.size() == reference.members.size();
-  for (size_t i = 0; members_identical && i < hot.members.size(); ++i) {
-    members_identical =
-        hot.members[i].sample_users == reference.members[i].sample_users &&
-        hot.members[i].sample_merchants ==
-            reference.members[i].sample_merchants &&
-        hot.members[i].sample_edges == reference.members[i].sample_edges &&
-        hot.members[i].num_blocks == reference.members[i].num_blocks;
-  }
-  if (!votes_identical || !weighted_identical || !members_identical) {
-    return Status::Internal(
-        "zero-materialization ensemble diverged from the materializing "
-        "reference on the bench graph — refusing to emit "
-        "BENCH_ensemble.json");
-  }
-
   // Vote-identity gate (untimed): the SAME detection must come out of
-  // every pool width the scaling rows will time. Any divergence refuses
-  // the document.
+  // the configured pool and every pool width the scaling rows will time.
+  // Any divergence refuses the document.
+  ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport hot, detector.Run(csr, pool));
   std::vector<std::unique_ptr<ThreadPool>> scaling_pools;
   for (int width : scaling_widths) {
     scaling_pools.push_back(width > 1 ? std::make_unique<ThreadPool>(width)
@@ -464,10 +328,6 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
   }
   timings.insert(timings.end(), scaling_timings.begin(),
                  scaling_timings.end());
-  timings.push_back(Measure("ensemble_run_reference", options.repeats, [&] {
-    EnsemFDetReport r = detector.RunReference(graph, pool).ValueOrDie();
-    (void)r;
-  }));
 
   // Arena-reuse stats from one more (untimed) fully warm run.
   ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport stats_run,
@@ -481,13 +341,8 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
           ? static_cast<double>(arena_grow_events) / options.num_samples
           : 0.0;
 
-  const Timing& reference_timing = timings.back();
   const double members_per_second =
       options.num_samples / timings[0].seconds_min;
-  const double members_per_second_reference =
-      options.num_samples / reference_timing.seconds_min;
-  const double zero_mat_speedup =
-      reference_timing.seconds_min / timings[0].seconds_min;
   // 1-thread vs the resolved wide arm — looked up by width, NOT the
   // widest timed row: on a machine with fewer than 4 cores the 2- and
   // 4-wide rows measure oversubscription, and the honest wide arm is the
@@ -500,7 +355,6 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
                                   scaling_timings[wide_idx].seconds_min;
 
   if (summary != nullptr) {
-    summary->zero_materialization_speedup = zero_mat_speedup;
     summary->members_per_second = members_per_second;
     summary->parallel_speedup = parallel_speedup;
     summary->parallel_wide_threads = wide_threads;
@@ -510,7 +364,7 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
 
   std::string out;
   out.append("{\n");
-  out.append("  \"schema_version\": 4,\n");
+  out.append("  \"schema_version\": 5,\n");
   out.append("  \"bench\": \"ensemble\",\n");
   AppendGraphJson(&out, options.graph, graph);
   AppendF(&out,
@@ -530,27 +384,18 @@ Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
             w + 1 < scaling_widths.size() ? "," : "");
   }
   out.append("  ],\n");
+  AppendF(&out, "  \"throughput\": {\"members_per_second\": %.6g},\n",
+          members_per_second);
   AppendF(&out,
-          "  \"throughput\": {\"members_per_second\": %.6g, "
-          "\"members_per_second_reference\": %.6g},\n",
-          members_per_second, members_per_second_reference);
-  AppendF(&out,
-          "  \"speedup\": {\"zero_materialization_vs_reference\": %.4g, "
-          "\"parallel_1thread_vs_wide\": %.4g, "
+          "  \"speedup\": {\"parallel_1thread_vs_wide\": %.4g, "
           "\"parallel_wide_threads\": %d},\n",
-          zero_mat_speedup, parallel_speedup, wide_threads);
+          parallel_speedup, wide_threads);
   AppendF(&out,
           "  \"arena\": {\"grow_events\": %lld, "
           "\"grow_events_per_member\": %.4g},\n",
           static_cast<long long>(arena_grow_events), arena_grow_per_member);
   AppendF(&out,
-          "  \"parity\": {\"votes_identical\": %s, "
-          "\"weighted_votes_identical\": %s, "
-          "\"member_stats_identical\": %s, "
-          "\"vote_identity_across_pool_widths\": %s}\n",
-          votes_identical ? "true" : "false",
-          weighted_identical ? "true" : "false",
-          members_identical ? "true" : "false",
+          "  \"parity\": {\"vote_identity_across_pool_widths\": %s}\n",
           width_vote_identity ? "true" : "false");
   out.append("}\n");
   return out;

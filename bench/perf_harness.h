@@ -1,16 +1,11 @@
 // Perf-baseline harness: the single producer of the repo's BENCH_*.json
-// files (schema documented in bench/README.md).
-//
-// Three front doors share this code so the numbers can never drift apart:
-//   * bench/bench_peeling.cc      — standalone peeling bench binary
-//   * bench/bench_ensemble.cc     — standalone ensemble bench binary
-//   * tools/ensemfdet_cli.cc      — the `bench-report` subcommand CI runs
+// files (schema documented in bench/README.md). Its one front door is the
+// `bench-report` subcommand of tools/ensemfdet_cli.cc, which CI runs.
 //
 // Every measurement reports min/mean wall-clock over `repeats` runs
-// (min is the headline: least scheduler noise). The peeling bench also
-// *verifies* CSR-vs-adjacency parity on the bench graph and fails with
-// Internal if results diverge — a malformed or lying BENCH_peeling.json
-// can't be produced.
+// (min is the headline: least scheduler noise). Each bench also
+// *verifies* a parity property before timing anything and fails with
+// Internal if it does not hold, so a lying document can't be produced.
 #ifndef ENSEMFDET_BENCH_PERF_HARNESS_H_
 #define ENSEMFDET_BENCH_PERF_HARNESS_H_
 
@@ -22,18 +17,10 @@
 namespace ensemfdet {
 namespace bench {
 
-/// Workload shared by both benches: a Table-I dataset1 preset graph.
+/// Workload shared by the graph benches: a Table-I dataset1 preset graph.
 struct PerfGraphSpec {
   double scale = 0.02;
   uint64_t seed = 7;
-};
-
-struct PeelingBenchOptions {
-  PerfGraphSpec graph;
-  /// Timed repetitions per measurement (min/mean reported).
-  int repeats = 5;
-  /// FDET block budget for the iterated-peeling measurements.
-  int max_blocks = 12;
 };
 
 struct EnsembleBenchOptions {
@@ -49,9 +36,6 @@ struct EnsembleBenchOptions {
 /// Headline numbers of the ensemble bench, duplicated out of the JSON so
 /// the CLI can print them without re-parsing the document.
 struct EnsembleBenchSummary {
-  /// members_per_second(zero-mat) ÷ members_per_second(materializing
-  /// reference) on the same preset/pool — the PR acceptance headline.
-  double zero_materialization_speedup = 0.0;
   double members_per_second = 0.0;
   /// seconds_min(1 thread) ÷ seconds_min(wide pool), where the wide pool
   /// is clamped to the runner's hardware threads (parallel_wide_threads).
@@ -148,11 +132,6 @@ struct WalBenchSummary {
   bool replay_identical = false;
 };
 
-/// Runs the peeling bench (adjacency vs CSR, single peel + full FDET) and
-/// returns the BENCH_peeling.json document. Fails with Internal if the
-/// CSR path's results are not identical to the adjacency path's.
-Result<std::string> RunPeelingBench(const PeelingBenchOptions& options);
-
 /// Runs the storage bench and returns the BENCH_storage.json document
 /// (schema_version 1): the same dataset1-preset graph loaded three ways —
 /// TSV parse, streaming binary read, and mmap zero-copy open (without and
@@ -228,14 +207,14 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
                                 ObsBenchSummary* summary = nullptr);
 
 /// Runs the ensemble bench and returns the BENCH_ensemble.json document
-/// (schema_version 4): zero-materialization hot path on the configured
-/// pool, member-throughput scaling rows at 1/2/4/all-hardware threads
-/// (the wide arm clamped to the runner's true core count and its
-/// resolved width recorded), and the materializing reference path.
-/// Fails with Internal — refusing to emit — if the hot path diverges
-/// from the reference, OR if votes are not identical across every timed
-/// pool width. When `summary` is non-null it receives the headline
-/// numbers.
+/// (schema_version 5): the ensemble on the configured pool, plus
+/// member-throughput scaling rows at 1/2/4/all-hardware threads (the wide
+/// arm clamped to the runner's true core count and its resolved width
+/// recorded). Fails with Internal — refusing to emit — if votes are not
+/// identical across the configured pool and every timed pool width.
+/// (Bit parity with the seed materializing path is pinned by
+/// tests/ensemble_parity_test.cc.) When `summary` is non-null it receives
+/// the headline numbers.
 Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
                                      EnsembleBenchSummary* summary = nullptr);
 

@@ -9,7 +9,7 @@
 // blocks, which is what produces the discrete zigzag operating points the
 // paper criticizes (reproduce with eval::BlockSweep).
 //
-// The greedy engine is shared with FDET (detect/greedy_peeler.h): the
+// The greedy engine is shared with FDET (detect/csr_peeler.h): the
 // algorithms coincide per peel; ENSEMFDET's contribution is what is
 // wrapped around the peel (sampling, ensemble voting, auto-truncation).
 #ifndef ENSEMFDET_BASELINES_FRAUDAR_H_

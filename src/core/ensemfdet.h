@@ -27,26 +27,21 @@
 
 // Bipartite graph substrate.
 #include "graph/bipartite_graph.h"
-#include "graph/components.h"
 #include "graph/csr_graph.h"
 #include "graph/fingerprint.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
-#include "graph/kcore.h"
 #include "graph/subgraph.h"
 
 // Structural sampling (RES / ONS / TNS) and its theory.
 #include "sampling/sampler.h"
 #include "sampling/sampling_theory.h"
 
-// Detection core: density score φ, greedy peeling (adjacency + in-place
-// CSR), FDET.
+// Detection core: density score φ, in-place CSR greedy peeling, FDET.
 #include "detect/csr_peeler.h"
 #include "detect/density.h"
 #include "detect/fdet.h"
-#include "detect/greedy_peeler.h"
-#include "detect/partitioned_fdet.h"
 
 // The ENSEMFDET ensemble.
 #include "ensemble/ensemfdet.h"

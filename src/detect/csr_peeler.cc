@@ -191,7 +191,7 @@ void PeelHeap::AddTo(int64_t id, double delta) {
   const int64_t pos = pos_[static_cast<size_t>(id)];
   ENSEMFDET_DCHECK(pos != -1);
   ENSEMFDET_DCHECK(delta <= 0.0);
-  // Same arithmetic as IndexedMinHeap::AddToKey: key ← key + delta.
+  // Same arithmetic as the seed heap's add-to-key: key ← key + delta.
   if (pos >= 0) {
     const size_t i = static_cast<size_t>(pos);
     heap_[i].key = heap_[i].key + delta;

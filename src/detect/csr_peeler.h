@@ -24,12 +24,14 @@
 //
 // Bit-exactness contract: for the same residual edge set,
 // PeelAliveInView() performs the identical floating-point operations in
-// the identical order as the seed PeelDensestBlock over the compacted
-// subgraph (same per-node accumulation order, same heap insertion order,
-// same smaller-id tie-breaks under the order-isomorphic id relabeling),
-// so scores, block node sets, traces, and removal orders match the
-// adjacency-list peeler exactly. tests/csr_parity_test.cc and
-// tests/ensemble_parity_test.cc pin this.
+// the identical order as the seed adjacency-list peeler over the
+// compacted subgraph (same per-node accumulation order, same heap
+// insertion order, same smaller-id tie-breaks under the order-isomorphic
+// id relabeling), so scores, block node sets, traces, and removal orders
+// match it exactly. The seed peeler and its binary heap survive only as
+// test referees (tests/referee/greedy_peeler.h, indexed_heap.h);
+// tests/csr_parity_test.cc, tests/ensemble_parity_test.cc and
+// tests/peel_heap_test.cc pin this.
 #ifndef ENSEMFDET_DETECT_CSR_PEELER_H_
 #define ENSEMFDET_DETECT_CSR_PEELER_H_
 
@@ -39,10 +41,23 @@
 #include <vector>
 
 #include "detect/density.h"
-#include "detect/greedy_peeler.h"
 #include "graph/csr_graph.h"
 
 namespace ensemfdet {
+
+/// Output of one peel: the densest block found plus the full peeling trace
+/// (used by tests and the Fig 1 bench).
+struct PeelResult {
+  /// Users/merchants of the argmax-φ prefix, ascending ids (graph-local).
+  std::vector<UserId> users;
+  std::vector<MerchantId> merchants;
+  /// φ of that block under the entry-time column weights.
+  double score = 0.0;
+  /// trace[t] = φ(H_{n-t}) before the t-th removal; trace[0] = φ(G).
+  std::vector<double> trace;
+  /// Node removal order as packed ids (user u → u; merchant v → |U|+v).
+  std::vector<int64_t> removal_order;
+};
 
 namespace detail {
 
@@ -75,11 +90,11 @@ namespace detail {
 //
 // Output-equivalence note: PopMin returns the *global* minimum under the
 // total order (key, then smaller id) of the alive entries, so the pop
-// sequence is a pure function of the key arithmetic — identical to
-// IndexedMinHeap's regardless of tiers, arity or internal layout; and
-// because the dense slot assignment is monotone in packed node id,
-// (key, slot) ties break exactly like (key, node). AddTo applies
-// `key + delta` exactly like IndexedMinHeap::AddToKey, preserving
+// sequence is a pure function of the key arithmetic — identical to the
+// seed peeler's binary heap regardless of tiers, arity or internal
+// layout; and because the dense slot assignment is monotone in packed
+// node id, (key, slot) ties break exactly like (key, node). AddTo applies
+// `key + delta` exactly like the seed heap's add-to-key, preserving
 // bit-exact parity with the seed peeler.
 class PeelHeap {
  public:
@@ -278,7 +293,8 @@ class CsrPeeler {
   /// ids, result.merchants member merchant ids) — translate through
   /// `member_users` / `member_merchants`; removal_order holds parent
   /// packed ids. Under that order-preserving translation the output is
-  /// bit-identical to PeelDensestBlock over the subgraph compacted from
+  /// bit-identical to the seed PeelDensestBlock
+  /// (tests/referee/greedy_peeler.h) over the subgraph compacted from
   /// the alive edges: they are the ascending alive slots of the mask, and
   /// member numbering is monotone in parent id.
   ///
@@ -294,9 +310,10 @@ class CsrPeeler {
 
 /// One-shot CSR peel of every edge of `graph`, node ids in `graph`'s own
 /// space. Only nodes with at least one edge take part, so the result is
-/// bit-identical to PeelDensestBlock over the subgraph of `graph`'s edges
-/// (SubgraphFromEdges over all of them) with ids mapped back — trace and
-/// removal order included.
+/// bit-identical to the seed PeelDensestBlock over the subgraph of
+/// `graph`'s edges (SubgraphFromEdges over all of them) with ids mapped
+/// back — trace and removal order included (tests/referee/greedy_peeler.h
+/// holds that referee).
 PeelResult PeelDensestBlockCsr(const CsrGraph& graph,
                                const DensityConfig& config,
                                bool keep_trace = false);

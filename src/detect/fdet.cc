@@ -8,21 +8,11 @@
 
 #include "common/logging.h"
 #include "detect/csr_peeler.h"
-#include "detect/greedy_peeler.h"
-#include "graph/subgraph.h"
 #include "obs/metrics.h"
 
 namespace ensemfdet {
 
 namespace {
-
-// Sorted-vector membership test; block node lists come out of the peeler
-// sorted ascending.
-template <typename T>
-bool SortedContains(const std::vector<T>& sorted, T value) {
-  auto it = std::lower_bound(sorted.begin(), sorted.end(), value);
-  return it != sorted.end() && *it == value;
-}
 
 // Shared front-door validation for every FDET entry point.
 Status ValidateFdetConfig(const FdetConfig& config) {
@@ -51,7 +41,7 @@ Status ValidateFdetConfig(const FdetConfig& config) {
   return Status::OK();
 }
 
-// Truncation shared by all entry points: keep blocks 1..k̂ of `explored`.
+// Truncation: keep blocks 1..k̂ of `explored`.
 FdetResult TruncateExplored(std::vector<DetectedBlock> explored,
                             const FdetConfig& config) {
   FdetResult result;
@@ -142,7 +132,8 @@ bool ElbowConfirmed(const std::vector<double>& scores_so_far,
 // parent-array gathers and no work-list rebuild. Each iteration's alive
 // slots are that iteration's residual, ascending, and the member-dense
 // ids translate monotonically back to parent ids, so every block matches
-// the seed's compacted-subgraph loop (RunFdetReference).
+// the seed's compacted-subgraph loop (the test referee in
+// tests/referee/fdet_reference.h).
 FdetResult RunFdetInView(const CsrGraph& graph,
                          std::span<const EdgeId> initial_residual,
                          double weight_scale, const FdetConfig& config,
@@ -264,79 +255,6 @@ Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
       RunFdetInView(graph, initial_residual, weight_scale, config, scratch);
   FlushPeelCounters(scratch);
   return result;
-}
-
-Result<FdetResult> RunFdetReference(const BipartiteGraph& graph,
-                                    const FdetConfig& config) {
-  ENSEMFDET_RETURN_NOT_OK(ValidateFdetConfig(config));
-
-  const int explore_limit = config.policy == TruncationPolicy::kFixedK
-                                ? std::max(config.max_blocks, config.fixed_k)
-                                : config.max_blocks;
-
-  std::vector<DetectedBlock> explored;
-  std::vector<double> scores_so_far;
-
-  // The residual graph after removing previously detected blocks' edges,
-  // kept as an edge subset of `graph` with id maps back to it.
-  std::vector<EdgeId> remaining;
-  remaining.reserve(static_cast<size_t>(graph.num_edges()));
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) remaining.push_back(e);
-
-  while (static_cast<int>(explored.size()) < explore_limit &&
-         !remaining.empty()) {
-    SubgraphView view = SubgraphFromEdges(graph, remaining);
-    PeelResult peel = PeelDensestBlock(view.graph, config.density);
-    if (peel.score <= config.min_block_score ||
-        (peel.users.empty() && peel.merchants.empty())) {
-      break;
-    }
-
-    DetectedBlock block;
-    block.score = peel.score;
-    block.users.reserve(peel.users.size());
-    for (UserId lu : peel.users) block.users.push_back(view.user_map[lu]);
-    block.merchants.reserve(peel.merchants.size());
-    for (MerchantId lv : peel.merchants) {
-      block.merchants.push_back(view.merchant_map[lv]);
-    }
-    // Peeler emits ascending local ids; id maps are ascending, so parent
-    // ids stay sorted — required by SortedContains below.
-    explored.push_back(std::move(block));
-    const DetectedBlock& added = explored.back();
-
-    // Remove E_i: residual edges induced by the block's vertex set, and
-    // record them on the block for diagnostics/invariant checking.
-    std::vector<EdgeId> next;
-    next.reserve(remaining.size());
-    for (EdgeId e : remaining) {
-      const Edge& edge = graph.edge(e);
-      const bool inside = SortedContains(added.users, edge.user) &&
-                          SortedContains(added.merchants, edge.merchant);
-      if (inside) {
-        explored.back().edges.push_back(e);
-      } else {
-        next.push_back(e);
-      }
-    }
-    // The peeled block always contains at least one residual edge, so the
-    // loop strictly shrinks `remaining` and must terminate.
-    ENSEMFDET_CHECK(next.size() < remaining.size())
-        << "detected block removed no edges";
-    remaining = std::move(next);
-
-    // Online truncation (Algorithm 1's stop condition): once the elbow is
-    // `elbow_patience` blocks behind the frontier, further exploration
-    // cannot move it — later blocks only extend the flat tail.
-    scores_so_far.push_back(added.score);
-    if (config.policy == TruncationPolicy::kAutoElbow &&
-        static_cast<int>(scores_so_far.size()) >=
-            AutoTruncationIndex(scores_so_far) + config.elbow_patience) {
-      break;
-    }
-  }
-
-  return TruncateExplored(std::move(explored), config);
 }
 
 }  // namespace ensemfdet

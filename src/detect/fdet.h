@@ -88,7 +88,8 @@ int AutoTruncationIndex(const std::vector<double>& scores);
 ///
 /// @post Result blocks are in detection order with pairwise-disjoint,
 ///       nonempty `edges` lists (ids into `graph`); block node lists are
-///       ascending. Output is bit-identical to RunFdetReference.
+///       ascending. Output is bit-identical to the seed FDET loop (the
+///       test referee in tests/referee/fdet_reference.h).
 /// @note Thread-safety: pure function of an immutable graph — safe to run
 ///       concurrently on the same graph from many threads (each call owns
 ///       its scratch).
@@ -101,7 +102,7 @@ Result<FdetResult> RunFdet(const BipartiteGraph& graph,
 /// with OutOfRange above kMaxViewEdges (2^30 − 1) edges.
 ///
 /// @pre `graph` came from CsrGraph::FromBipartite (canonical edge order).
-/// @post Bit-identical results to RunFdetReference on the equivalent
+/// @post Bit-identical results to the seed FDET loop on the equivalent
 ///       adjacency-list graph (pinned by tests/csr_parity_test.cc).
 /// @note Thread-safety: `graph` is only read; concurrent calls are safe.
 Result<FdetResult> RunFdetCsr(const CsrGraph& graph,
@@ -118,7 +119,7 @@ Result<FdetResult> RunFdetCsr(const CsrGraph& graph,
 /// Bit-exactness: for a sampled edge set, the output blocks/scores/counts
 /// are identical — under the order-isomorphic id relabeling — to
 /// materializing the child subgraph over those edges (weights
-/// pre-scaled) and running RunFdetReference on it; node and edge ids in
+/// pre-scaled) and running the seed FDET loop on it; node and edge ids in
 /// the result are the *parent's* own, so no remapping step exists.
 /// tests/ensemble_parity_test.cc pins this end to end. Fails with
 /// InvalidArgument like RunFdet or for `weight_scale` ≤ 0, and with
@@ -134,12 +135,6 @@ Result<FdetResult> RunFdetCsrMasked(const CsrGraph& graph,
                                     double weight_scale,
                                     const FdetConfig& config,
                                     PeelScratch* scratch);
-
-/// The seed implementation (rebuilds a compacted subgraph per block
-/// iteration). Kept as the parity/performance reference for
-/// tests/csr_parity_test.cc and bench/bench_peeling.cc — prefer RunFdet.
-Result<FdetResult> RunFdetReference(const BipartiteGraph& graph,
-                                    const FdetConfig& config);
 
 }  // namespace ensemfdet
 

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/timer.h"
 #include "detect/csr_peeler.h"
-#include "graph/subgraph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -98,9 +96,9 @@ struct MemberArena {
 
 thread_local MemberArena t_member_arena;
 
-// Validation + sampler construction shared by every ensemble entry point
-// (Run / RunReference / RunMember): one definition of what a legal config
-// is and of the sampler members draw from.
+// Validation + sampler construction shared by both ensemble entry points
+// (Run / RunMember): one definition of what a legal config is and of the
+// sampler members draw from.
 Result<std::unique_ptr<Sampler>> ValidatedSampler(
     const EnsemFDetConfig& config) {
   if (config.num_samples < 1) {
@@ -172,57 +170,7 @@ MemberOutput RunMemberCsr(const CsrGraph& graph, const Sampler& sampler,
   return out;
 }
 
-// The seed materializing member (reference path): build the sampled child
-// graph, FDET it, remap local ids back to the parent.
-MemberOutput RunMemberReference(const BipartiteGraph& graph,
-                                const Sampler& sampler,
-                                const FdetConfig& fdet_config,
-                                Rng member_rng) {
-  MemberOutput out;
-  WallTimer timer;
-
-  SubgraphView view = sampler.Sample(graph, &member_rng);
-  out.stats.sample_users = view.graph.num_users();
-  out.stats.sample_merchants = view.graph.num_merchants();
-  out.stats.sample_edges = view.graph.num_edges();
-
-  // RunFdet converts the sampled child to CSR once and peels in place;
-  // the parent graph stays shared read-only across all pool workers.
-  Result<FdetResult> fdet = RunFdet(view.graph, fdet_config);
-  if (!fdet.ok()) {
-    out.status = fdet.status();
-    return out;
-  }
-  out.stats.num_blocks = fdet->truncation_index;
-
-  std::unordered_map<UserId, double> user_weight;
-  std::unordered_map<MerchantId, double> merchant_weight;
-  for (const DetectedBlock& block : fdet->blocks) {
-    for (UserId lu : block.users) {
-      double& w = user_weight[lu];
-      w = std::max(w, block.score);
-    }
-    for (MerchantId lv : block.merchants) {
-      double& w = merchant_weight[lv];
-      w = std::max(w, block.score);
-    }
-  }
-
-  for (UserId local : fdet->DetectedUsers()) {
-    out.users.push_back(view.ToParentUser(local));
-    out.user_weights.push_back(user_weight.at(local));
-  }
-  for (MerchantId local : fdet->DetectedMerchants()) {
-    out.merchants.push_back(view.ToParentMerchant(local));
-    out.merchant_weights.push_back(merchant_weight.at(local));
-  }
-  out.stats.seconds = timer.ElapsedSeconds();
-  return out;
-}
-
-// Shared tail: strict member-order aggregation → deterministic at any
-// thread count (and identical across the hot and reference paths, since
-// every member contributes the same per-node values either way).
+// Strict member-order aggregation → deterministic at any thread count.
 Result<EnsemFDetReport> Aggregate(std::vector<MemberOutput> outputs,
                                   int64_t num_users, int64_t num_merchants,
                                   const WallTimer& total_timer) {
@@ -250,62 +198,37 @@ Result<EnsemFDetReport> Aggregate(std::vector<MemberOutput> outputs,
   return report;
 }
 
-// The one ensemble driver both paths share — validation, sampler
-// construction, per-member Rng splitting, the parallel section, and
-// member-order aggregation are identical by construction, which is what
-// the bit-exact hot-vs-reference parity rests on. `run_member` maps
-// (sampler, fdet config, member rng) to one MemberOutput.
-template <typename MemberFn>
-Result<EnsemFDetReport> DriveEnsemble(const EnsemFDetConfig& config,
-                                      int64_t num_users,
-                                      int64_t num_merchants, ThreadPool* pool,
-                                      const MemberFn& run_member) {
+}  // namespace
+
+Result<EnsemFDetReport> EnsemFDet::Run(const CsrGraph& graph,
+                                       ThreadPool* pool) const {
   ENSEMFDET_ASSIGN_OR_RETURN(std::unique_ptr<Sampler> sampler,
-                             ValidatedSampler(config));
+                             ValidatedSampler(config_));
 
   DetectMetrics& metrics = Metrics();
   metrics.runs_total->Increment();
   obs::TraceSpan run_span(metrics.run_seconds, "ensemble_run");
   WallTimer total_timer;
-  const int n = config.num_samples;
-  Rng root(config.seed);
+  const int n = config_.num_samples;
+  Rng root(config_.seed);
 
   // Outputs are indexed by member, so results are identical at any pool
   // width. Member costs are skewed (sampled residuals differ wildly in
   // size), so wide pools use the work-stealing split.
   std::vector<MemberOutput> outputs(static_cast<size_t>(n));
   ForEachOnPool(pool, n, [&](int64_t i) {
-    outputs[static_cast<size_t>(i)] = run_member(
-        *sampler, config.fdet, root.Split(static_cast<uint64_t>(i)));
+    outputs[static_cast<size_t>(i)] =
+        RunMemberCsr(graph, *sampler, config_.fdet,
+                     root.Split(static_cast<uint64_t>(i)));
   });
 
-  return Aggregate(std::move(outputs), num_users, num_merchants,
-                   total_timer);
-}
-
-}  // namespace
-
-Result<EnsemFDetReport> EnsemFDet::Run(const CsrGraph& graph,
-                                       ThreadPool* pool) const {
-  return DriveEnsemble(
-      config_, graph.num_users(), graph.num_merchants(), pool,
-      [&graph](const Sampler& sampler, const FdetConfig& fdet, Rng rng) {
-        return RunMemberCsr(graph, sampler, fdet, std::move(rng));
-      });
+  return Aggregate(std::move(outputs), graph.num_users(),
+                   graph.num_merchants(), total_timer);
 }
 
 Result<EnsemFDetReport> EnsemFDet::Run(const BipartiteGraph& graph,
                                        ThreadPool* pool) const {
   return Run(CsrGraph::FromBipartite(graph), pool);
-}
-
-Result<EnsemFDetReport> EnsemFDet::RunReference(const BipartiteGraph& graph,
-                                                ThreadPool* pool) const {
-  return DriveEnsemble(
-      config_, graph.num_users(), graph.num_merchants(), pool,
-      [&graph](const Sampler& sampler, const FdetConfig& fdet, Rng rng) {
-        return RunMemberReference(graph, sampler, fdet, std::move(rng));
-      });
 }
 
 Result<EnsembleMemberBlocks> EnsemFDet::RunMember(const CsrGraph& graph,

@@ -13,9 +13,10 @@
 // (RunFdetCsrMasked), and each worker thread reuses one arena (sampling
 // buffers + edge mask + PeelScratch, sized by the largest member) across
 // all its members, so a warm run performs no arena allocations at all. The
-// seed materializing path survives as RunReference() — the bit-exact
-// parity and performance reference (tests/ensemble_parity_test.cc,
-// bench/bench_ensemble.cc), mirroring detect/fdet.h's RunFdetReference.
+// seed materializing path (a SubgraphView child per member, FDET on it,
+// an id remap) survives only as the test referee RunEnsembleReference
+// (tests/referee/ensemble_reference.h), which tests/ensemble_parity_test.cc
+// pins this path against bit for bit.
 //
 // Determinism: ensemble member i draws all randomness from
 // Rng(seed).Split(i), and votes are accumulated in member order after the
@@ -130,17 +131,10 @@ class EnsemFDet {
 
   /// Adjacency-list convenience overload: converts once
   /// (CsrGraph::FromBipartite, O(|U| + |V| + |E|) amortized over all N
-  /// members) and runs the hot path above. Output is bit-identical to
-  /// both the CSR overload and RunReference.
+  /// members) and runs the hot path above. Output is bit-identical to the
+  /// CSR overload.
   Result<EnsemFDetReport> Run(const BipartiteGraph& graph,
                               ThreadPool* pool = nullptr) const;
-
-  /// The seed implementation: every member materializes its sampled child
-  /// (SubgraphView), runs FDET on it, and remaps results to parent ids.
-  /// Kept as the parity/performance reference for
-  /// tests/ensemble_parity_test.cc and the ensemble bench — prefer Run.
-  Result<EnsemFDetReport> RunReference(const BipartiteGraph& graph,
-                                       ThreadPool* pool = nullptr) const;
 
   /// Runs member `member` (in [0, N)) of Run() alone, on the calling
   /// thread: the same sampling randomness (Rng(seed).Split(member)),
@@ -149,7 +143,7 @@ class EnsemFDet {
   /// streaming detector schedules every (component, member) pair of a
   /// report through this in one pass over the pool, caches the blocks per
   /// component and re-aggregates them under a cross-component truncation
-  /// rule (see RunPartitionedFdet for the single-detector precedent).
+  /// rule (ingest/streaming_detector.h).
   /// Fails with InvalidArgument on a bad config or member index.
   Result<EnsembleMemberBlocks> RunMember(const CsrGraph& graph,
                                          int member) const;

@@ -101,10 +101,10 @@ struct DirtyComponent {
 // Readies a dirty component for the pair pass. All randomness is
 // content-derived — same component content + same base seed → same member
 // outputs, whenever and wherever computed — and exploration is fixed-k
-// per component; the elbow applies globally after the merge
-// (RunPartitionedFdet's rule). Dense local ids index the sorted global
-// node lists: the edges arrive in canonical (user, merchant) order, so
-// the user list is already sorted; the merchant list needs one sort.
+// per component; the elbow applies globally after the merge. Dense local
+// ids index the sorted global node lists: the edges arrive in canonical
+// (user, merchant) order, so the user list is already sorted; the
+// merchant list needs one sort.
 void PrepareComponent(const EnsemFDetConfig& base, DirtyComponent* d) {
   d->config = base;
   d->config.seed = HashCombine(base.seed, d->fingerprint);

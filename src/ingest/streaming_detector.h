@@ -18,11 +18,11 @@
 // slides that merge, split, or grow a component change its fingerprint and
 // naturally invalidate it.
 //
-// Cross-component aggregation mirrors RunPartitionedFdet, lifted to each
-// ensemble member index i: every component explores up to `max_blocks`
-// blocks per member (fixed-k, no per-component elbow), then member i's
-// blocks from all components are merged in (descending φ, ties stable by
-// component order) and truncated once, globally, by the configured policy.
+// Cross-component aggregation works per ensemble member index i: every
+// component explores up to `max_blocks` blocks per member (fixed-k, no
+// per-component elbow), then member i's blocks from all components are
+// merged in (descending φ, ties stable by component order) and truncated
+// once, globally, by the configured policy.
 // Member i's votes are the nodes of its globally-kept blocks. This keeps
 // tiny debris components from voting themselves dense in isolation, and —
 // because the merge consumes only content-determined inputs in a
@@ -63,8 +63,7 @@ namespace ensemfdet {
 struct StreamingDetectorConfig {
   /// Per-component ensemble configuration. `fdet.policy` / `fixed_k` apply
   /// to the *global* cross-component truncation; per-component exploration
-  /// always keeps up to `fdet.max_blocks` blocks (RunPartitionedFdet's
-  /// rule).
+  /// always keeps up to `fdet.max_blocks` blocks.
   EnsemFDetConfig ensemble;
   /// Components with fewer live edges are skipped outright (they vote in
   /// neither the incremental nor the full-rerun path). 1 = detect

@@ -29,8 +29,9 @@
 //     and compiles every record path to an empty inline — the no-op
 //     build CI proves the engine works without the layer.
 //   * SetMetricsRuntimeEnabled(false) stops recording at runtime (one
-//     relaxed bool load per record). bench_obs uses this to measure the
-//     instrumented-vs-off overhead inside a single process.
+//     relaxed bool load per record). The obs bench (RunObsBench) uses
+//     this to measure the instrumented-vs-off overhead inside a single
+//     process.
 #ifndef ENSEMFDET_OBS_METRICS_H_
 #define ENSEMFDET_OBS_METRICS_H_
 

@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "graph/components.h"
 #include "graph/graph_builder.h"
-#include "graph/kcore.h"
+#include "referee/components.h"
+#include "referee/kcore.h"
 
 namespace ensemfdet {
 namespace {

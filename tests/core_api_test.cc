@@ -1,10 +1,14 @@
 // Umbrella-header smoke tests: everything a downstream user does through
-// core/ensemfdet.h alone — generate, detect (batch, partitioned,
-// streaming), evaluate against every baseline, persist. If this compiles
-// and passes, the public API surface is intact end to end.
+// core/ensemfdet.h alone — generate, detect (batch, streaming), evaluate
+// against every baseline, persist. If this compiles and passes, the
+// public API surface is intact end to end. Components and k-cores are
+// test-only referees (tests/referee/), included on their own.
 #include "core/ensemfdet.h"
 
 #include <gtest/gtest.h>
+
+#include "referee/components.h"
+#include "referee/kcore.h"
 
 namespace ensemfdet {
 namespace {
@@ -57,15 +61,6 @@ TEST_F(CoreApiTest, GraphUtilitiesAvailable) {
   EXPECT_GT(kc.degeneracy, 0);
   auto stats = ComputeDegreeStats(data().graph, Side::kMerchant);
   EXPECT_GT(stats.avg_degree, 0.0);
-}
-
-TEST_F(CoreApiTest, PartitionedDetectionAvailable) {
-  PartitionedFdetConfig cfg;
-  cfg.fdet.max_blocks = 10;
-  cfg.min_component_edges = 3;
-  auto r = RunPartitionedFdet(data().graph, cfg, &DefaultThreadPool());
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->blocks.empty());
 }
 
 TEST_F(CoreApiTest, StreamingPipelineViaUmbrella) {

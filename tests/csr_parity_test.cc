@@ -1,9 +1,10 @@
 // Bit-exact parity of the CSR hot path against the seed adjacency-list
-// implementations: on random graphs — weighted and unweighted, dense and
-// sparse, with isolated nodes — the CSR peeler, CSR k-core, and in-place
-// CSR FDET must reproduce the seed's scores, suspicious sets, traces, and
-// removal orders exactly (== on doubles, not near). The peeler's arena
-// must be sized by the residual it peels, not by the parent graph.
+// implementations (the test referees in tests/referee/): on random graphs
+// — weighted and unweighted, dense and sparse, with isolated nodes — the
+// CSR peeler and in-place CSR FDET must reproduce the seed's scores,
+// suspicious sets, traces, and removal orders exactly (== on doubles, not
+// near). The peeler's arena must be sized by the residual it peels, not
+// by the parent graph.
 #include <algorithm>
 #include <tuple>
 #include <vector>
@@ -14,11 +15,10 @@
 #include "datagen/presets.h"
 #include "detect/csr_peeler.h"
 #include "detect/fdet.h"
-#include "detect/greedy_peeler.h"
-#include "detect/partitioned_fdet.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_builder.h"
-#include "graph/kcore.h"
+#include "referee/fdet_reference.h"
+#include "referee/greedy_peeler.h"
 #include "sampling/sampler.h"
 
 namespace ensemfdet {
@@ -94,16 +94,6 @@ TEST_P(CsrParityTest, PeelerBitExact) {
         PeelIncidentSubgraph(g, density, /*keep_trace=*/true),
         PeelDensestBlockCsr(csr, density, /*keep_trace=*/true));
   }
-}
-
-TEST_P(CsrParityTest, KCoreIdentical) {
-  const auto [seed, weighted] = GetParam();
-  BipartiteGraph g = RandomPeelGraph(90, 60, 400, seed, weighted);
-  KCoreDecomposition a = ComputeKCores(g);
-  KCoreDecomposition b = ComputeKCores(CsrGraph::FromBipartite(g));
-  EXPECT_EQ(a.user_core, b.user_core);
-  EXPECT_EQ(a.merchant_core, b.merchant_core);
-  EXPECT_EQ(a.degeneracy, b.degeneracy);
 }
 
 TEST_P(CsrParityTest, FdetBitExactAutoElbow) {
@@ -189,48 +179,6 @@ TEST(CsrParityTestInvalidConfig, CsrPathValidatesLikeReference) {
   EXPECT_FALSE(RunFdet(g, bad).ok());
   EXPECT_FALSE(RunFdetReference(g, bad).ok());
   EXPECT_FALSE(RunFdetCsr(CsrGraph::FromBipartite(g), bad).ok());
-}
-
-// The partitioned runner's single-component fast path (no subgraph
-// rebuild) must stay interchangeable with the seed's compacted route.
-TEST(CsrParityPartitionedTest, SingleComponentFastPathMatchesReference) {
-  // Fully connected small graph → exactly one component spanning all edges.
-  GraphBuilder b(20, 10);
-  Rng rng(33);
-  for (UserId u = 0; u < 20; ++u) {
-    b.AddEdge(u, static_cast<MerchantId>(u % 10));
-    b.AddEdge(u, static_cast<MerchantId>(rng.NextBounded(10)));
-  }
-  BipartiteGraph g = b.Build().ValueOrDie();
-
-  PartitionedFdetConfig pcfg;
-  pcfg.fdet.max_blocks = 8;
-  auto partitioned = RunPartitionedFdet(g, pcfg).ValueOrDie();
-
-  // Reference: per-component explore + merge, which for one spanning
-  // component is the global FDET re-sorted by score.
-  FdetConfig explore = pcfg.fdet;
-  explore.policy = TruncationPolicy::kFixedK;
-  explore.fixed_k = pcfg.fdet.max_blocks;
-  auto reference = RunFdetReference(g, explore).ValueOrDie();
-  std::stable_sort(reference.blocks.begin(), reference.blocks.end(),
-                   [](const DetectedBlock& a, const DetectedBlock& b) {
-                     return a.score > b.score;
-                   });
-  std::vector<double> sorted_scores;
-  for (const DetectedBlock& blk : reference.blocks) {
-    sorted_scores.push_back(blk.score);
-  }
-  const int keep = AutoTruncationIndex(sorted_scores);
-  ASSERT_EQ(partitioned.truncation_index, keep);
-  ASSERT_EQ(static_cast<int>(partitioned.blocks.size()), keep);
-  for (int i = 0; i < keep; ++i) {
-    EXPECT_EQ(partitioned.blocks[i].users, reference.blocks[i].users);
-    EXPECT_EQ(partitioned.blocks[i].merchants,
-              reference.blocks[i].merchants);
-    EXPECT_EQ(partitioned.blocks[i].score, reference.blocks[i].score);
-    EXPECT_EQ(partitioned.blocks[i].edges, reference.blocks[i].edges);
-  }
 }
 
 // A sampled member's arena follows the member: every node-indexed array is

@@ -7,8 +7,8 @@
 
 #include "detect/density.h"
 #include "detect/fdet.h"
-#include "detect/greedy_peeler.h"
 #include "graph/graph_builder.h"
+#include "referee/greedy_peeler.h"
 
 namespace ensemfdet {
 namespace {

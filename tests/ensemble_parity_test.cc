@@ -1,15 +1,14 @@
 // Pins the zero-materialization ensemble hot path (EnsemFDet::Run over
 // the shared CsrGraph: SampleEdgeMask → RunFdetCsrMasked → dense
 // epoch-stamped weights) bit-exactly against the seed materializing path
-// (EnsemFDet::RunReference: SubgraphView children + id remaps), across
+// (RunEnsembleReference, tests/referee/ensemble_reference.h: SubgraphView
+// children + id remaps + its own member-order vote loop), across
 // all four sampling methods, several seeds and ratios, and pool widths
 // 1 / 2 / 4, plus the per-member entry point (EnsemFDet::RunMember) the
 // streaming detector runs. "Bit-exact" means: identical VoteTable
 // contents, identical weighted votes (== on doubles, no tolerance), and
 // identical per-member sample shapes and block counts.
-#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "ensemble/vote_table.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_builder.h"
+#include "referee/ensemble_reference.h"
 #include "sampling/sampler.h"
 
 namespace ensemfdet {
@@ -122,7 +122,7 @@ TEST(EnsembleParityTest, AllMethodsSeedsRatiosAndPoolWidths) {
 
         EnsemFDet detector(cfg);
         const EnsemFDetReport ref =
-            detector.RunReference(graph).ValueOrDie();
+            RunEnsembleReference(cfg, graph).ValueOrDie();
         for (ThreadPool* pool : pools) {
           const EnsemFDetReport hot = detector.Run(graph, pool).ValueOrDie();
           ExpectIdenticalReports(
@@ -153,42 +153,14 @@ TEST(EnsembleParityTest, RunMemberMatchesReference) {
     cfg.seed = 19;
     cfg.fdet.max_blocks = 6;
     EnsemFDet detector(cfg);
-    const EnsemFDetReport ref = detector.RunReference(graph).ValueOrDie();
+    const EnsemFDetReport ref = RunEnsembleReference(cfg, graph).ValueOrDie();
 
-    EnsemFDetReport flat;
-    flat.num_samples = cfg.num_samples;
-    flat.votes = VoteTable(graph.num_users(), graph.num_merchants());
-    flat.weighted_user_votes.assign(static_cast<size_t>(graph.num_users()),
-                                    0.0);
-    flat.weighted_merchant_votes.assign(
-        static_cast<size_t>(graph.num_merchants()), 0.0);
+    EnsemFDetReport flat = EmptyEnsembleReport(
+        cfg.num_samples, graph.num_users(), graph.num_merchants());
     for (int i = 0; i < cfg.num_samples; ++i) {
       const EnsembleMemberBlocks member =
           detector.RunMember(csr, i).ValueOrDie();
-      std::map<UserId, double> users;
-      std::map<MerchantId, double> merchants;
-      for (const DetectedBlock& block : member.blocks) {
-        for (UserId u : block.users) {
-          auto [it, fresh] = users.emplace(u, block.score);
-          if (!fresh) it->second = std::max(it->second, block.score);
-        }
-        for (MerchantId v : block.merchants) {
-          auto [it, fresh] = merchants.emplace(v, block.score);
-          if (!fresh) it->second = std::max(it->second, block.score);
-        }
-      }
-      std::vector<UserId> user_ids;
-      std::vector<MerchantId> merchant_ids;
-      for (const auto& [u, w] : users) {
-        user_ids.push_back(u);
-        flat.weighted_user_votes[u] += w;
-      }
-      for (const auto& [v, w] : merchants) {
-        merchant_ids.push_back(v);
-        flat.weighted_merchant_votes[v] += w;
-      }
-      flat.votes.AddVotes(user_ids, merchant_ids);
-      flat.members.push_back(member.stats);
+      AddMemberVotes(member.blocks, member.stats, &flat);
     }
     ExpectIdenticalReports(flat, ref,
                            std::string("RunMember ") +
@@ -225,7 +197,7 @@ TEST(EnsembleParityTest, ReweightedEdgeSamplingOnWeightedGraph) {
     cfg.ratio = ratio;
     cfg.seed = 21;
     EnsemFDet detector(cfg);
-    const EnsemFDetReport ref = detector.RunReference(graph).ValueOrDie();
+    const EnsemFDetReport ref = RunEnsembleReference(cfg, graph).ValueOrDie();
     const EnsemFDetReport hot = detector.Run(graph, &pool4).ValueOrDie();
     ExpectIdenticalReports(hot, ref,
                            "reweighted ratio=" + std::to_string(ratio));
@@ -265,7 +237,7 @@ TEST(EnsembleParityTest, DegenerateGraphs) {
       cfg.ratio = 0.5;
       cfg.seed = 11;
       EnsemFDet detector(cfg);
-      const EnsemFDetReport ref = detector.RunReference(graph).ValueOrDie();
+      const EnsemFDetReport ref = RunEnsembleReference(cfg, graph).ValueOrDie();
       const EnsemFDetReport hot = detector.Run(graph, &pool2).ValueOrDie();
       ExpectIdenticalReports(hot, ref,
                              std::string("degenerate ") +

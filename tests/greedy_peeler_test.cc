@@ -1,4 +1,4 @@
-#include "detect/greedy_peeler.h"
+#include "referee/greedy_peeler.h"
 
 #include <algorithm>
 #include <cmath>

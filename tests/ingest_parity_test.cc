@@ -20,12 +20,12 @@
 #include "detect/fdet.h"
 #include "ensemble/ensemfdet.h"
 #include "ensemble/vote_table.h"
-#include "graph/components.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_builder.h"
 #include "ingest/dynamic_graph_store.h"
 #include "ingest/streaming_detector.h"
 #include "obs/metrics.h"
+#include "referee/components.h"
 
 namespace ensemfdet {
 namespace {
@@ -63,10 +63,11 @@ void ExpectReportsIdentical(const EnsemFDetReport& a,
 
 // The referee: StreamingDetector::Detect re-derived serially from pieces
 // the detector does not use. Components come from GraphVersion::
-// Materialize plus FindConnectedComponents, whose smallest-packed-id
-// order (edgeless singletons dropped) is the detector's component order.
-// Each component's member blocks come from the ensemble's per-member
-// entry point, which ensemble_parity_test pins against RunReference. The
+// Materialize plus FindConnectedComponents (tests/referee/components.h),
+// whose smallest-packed-id order (edgeless singletons dropped) is the
+// detector's component order. Each component's member blocks come from
+// the ensemble's per-member entry point, which ensemble_parity_test pins
+// against RunEnsembleReference (tests/referee/ensemble_reference.h). The
 // aggregation is a plain copy of the serial merge, truncate and
 // epoch-stamped vote loop. Seeds follow the detector's documented rule,
 // HashCombine(seed, fingerprint of the component's canonical edges).

@@ -13,7 +13,7 @@
 
 #include "common/rng.h"
 #include "detect/csr_peeler.h"
-#include "detect/indexed_heap.h"
+#include "referee/indexed_heap.h"
 
 namespace ensemfdet {
 namespace {

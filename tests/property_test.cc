@@ -14,12 +14,11 @@
 #include "datagen/generator.h"
 #include "detect/density.h"
 #include "detect/fdet.h"
-#include "detect/greedy_peeler.h"
-#include "detect/partitioned_fdet.h"
 #include "ensemble/ensemfdet.h"
 #include "eval/curves.h"
 #include "graph/graph_builder.h"
-#include "graph/kcore.h"
+#include "referee/greedy_peeler.h"
+#include "referee/kcore.h"
 #include "sampling/sampler.h"
 #include "sampling/sampling_theory.h"
 #include "stream/windowed_detector.h"
@@ -312,56 +311,6 @@ TEST_P(KCorePeelerPropertyTest, PeeledBlockLivesInHighCores) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KCorePeelerPropertyTest,
                          ::testing::Values(101u, 102u, 103u, 104u));
-
-// --- Partitioned FDET: invariants across component structures ---------------
-
-class PartitionedPropertyTest
-    : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
-
-TEST_P(PartitionedPropertyTest, MergedBlocksSortedAndEdgeValid) {
-  const int islands = std::get<0>(GetParam());
-  const uint64_t seed = std::get<1>(GetParam());
-  // Build `islands` disjoint random blocks.
-  GraphBuilder b(static_cast<int64_t>(islands) * 12,
-                 static_cast<int64_t>(islands) * 6);
-  Rng rng(seed);
-  for (int i = 0; i < islands; ++i) {
-    const UserId u0 = static_cast<UserId>(i * 12);
-    const MerchantId v0 = static_cast<MerchantId>(i * 6);
-    for (int e = 0; e < 30; ++e) {
-      b.AddEdge(u0 + static_cast<UserId>(rng.NextBounded(12)),
-                v0 + static_cast<MerchantId>(rng.NextBounded(6)));
-    }
-  }
-  auto g = b.Build().ValueOrDie();
-
-  PartitionedFdetConfig cfg;
-  cfg.fdet.policy = TruncationPolicy::kFixedK;
-  cfg.fdet.fixed_k = 3 * islands;
-  auto r = RunPartitionedFdet(g, cfg).ValueOrDie();
-
-  // Scores sorted descending; every block's edges valid and disjoint.
-  std::set<EdgeId> claimed;
-  for (size_t i = 0; i < r.blocks.size(); ++i) {
-    if (i > 0) {
-      EXPECT_LE(r.blocks[i].score, r.blocks[i - 1].score + 1e-12);
-    }
-    for (EdgeId e : r.blocks[i].edges) {
-      ASSERT_GE(e, 0);
-      ASSERT_LT(e, g.num_edges());
-      EXPECT_TRUE(claimed.insert(e).second);
-    }
-    // No block spans two islands.
-    std::set<int> island_of;
-    for (UserId u : r.blocks[i].users) island_of.insert(u / 12);
-    EXPECT_EQ(island_of.size(), 1u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    IslandCounts, PartitionedPropertyTest,
-    ::testing::Combine(::testing::Values(1, 3, 6),
-                       ::testing::Values(7u, 8u)));
 
 // --- Streaming: window contents always within [newest - window, newest] ----
 

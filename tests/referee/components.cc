@@ -1,4 +1,4 @@
-#include "graph/components.h"
+#include "referee/components.h"
 
 #include <deque>
 

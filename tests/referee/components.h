@@ -2,12 +2,13 @@
 //
 // Real transaction graphs decompose into one giant component plus debris;
 // fraud groups are dense pockets that may even be whole components of
-// their own. Components enable two practical optimizations the deployment
-// section of the paper implies: run FDET per component (independent →
-// embarrassingly parallel) and skip components too small to host a fraud
-// group.
-#ifndef ENSEMFDET_GRAPH_COMPONENTS_H_
-#define ENSEMFDET_GRAPH_COMPONENTS_H_
+// their own.
+//
+// Test-only: a plain BFS labelling, kept as the referee for the streaming
+// detector's union-find labelling over live edges
+// (tests/ingest_parity_test.cc's serial ReferenceDetect).
+#ifndef ENSEMFDET_TESTS_REFEREE_COMPONENTS_H_
+#define ENSEMFDET_TESTS_REFEREE_COMPONENTS_H_
 
 #include <cstdint>
 #include <vector>
@@ -45,4 +46,4 @@ ConnectedComponents FindConnectedComponents(const BipartiteGraph& graph);
 
 }  // namespace ensemfdet
 
-#endif  // ENSEMFDET_GRAPH_COMPONENTS_H_
+#endif  // ENSEMFDET_TESTS_REFEREE_COMPONENTS_H_

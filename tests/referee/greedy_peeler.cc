@@ -1,12 +1,12 @@
-#include "detect/greedy_peeler.h"
+#include "referee/greedy_peeler.h"
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 
 #include "common/logging.h"
-#include "detect/indexed_heap.h"
 #include "graph/subgraph.h"
+#include "referee/indexed_heap.h"
 
 namespace ensemfdet {
 

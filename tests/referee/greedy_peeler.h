@@ -8,29 +8,19 @@
 // input graph's degrees at entry, matching FRAUDAR.
 //
 // Complexity: O((|U| + |V| + |E|) · log(|U| + |V|)).
-#ifndef ENSEMFDET_DETECT_GREEDY_PEELER_H_
-#define ENSEMFDET_DETECT_GREEDY_PEELER_H_
+//
+// Test-only: this is the seed adjacency-list peeler, kept as the referee
+// the production CSR peeler (detect/csr_peeler.h) is pinned bit-exact
+// against. It returns the production PeelResult so both outputs compare
+// field for field.
+#ifndef ENSEMFDET_TESTS_REFEREE_GREEDY_PEELER_H_
+#define ENSEMFDET_TESTS_REFEREE_GREEDY_PEELER_H_
 
-#include <vector>
-
+#include "detect/csr_peeler.h"
 #include "detect/density.h"
 #include "graph/bipartite_graph.h"
 
 namespace ensemfdet {
-
-/// Output of one peel: the densest block found plus the full peeling trace
-/// (used by tests and the Fig 1 bench).
-struct PeelResult {
-  /// Users/merchants of the argmax-φ prefix, ascending ids (graph-local).
-  std::vector<UserId> users;
-  std::vector<MerchantId> merchants;
-  /// φ of that block under the entry-time column weights.
-  double score = 0.0;
-  /// trace[t] = φ(H_{n-t}) before the t-th removal; trace[0] = φ(G).
-  std::vector<double> trace;
-  /// Node removal order as packed ids (user u → u; merchant v → |U|+v).
-  std::vector<int64_t> removal_order;
-};
 
 /// Peels `graph` once and returns the best block. An empty graph (or one
 /// with no edges) yields an empty block with score 0.
@@ -42,9 +32,6 @@ struct PeelResult {
 /// @note Thread-safety: pure function of an immutable graph — safe to
 ///       call concurrently on the same graph. Deterministic: equal-
 ///       priority ties break toward the smaller packed node id.
-/// @note This is the seed adjacency-list implementation; the hot path
-///       uses the bit-exact in-place CSR rewrite in detect/csr_peeler.h,
-///       which this remains the reference for.
 PeelResult PeelDensestBlock(const BipartiteGraph& graph,
                             const DensityConfig& config,
                             bool keep_trace = false);
@@ -59,4 +46,4 @@ PeelResult PeelIncidentSubgraph(const BipartiteGraph& graph,
 
 }  // namespace ensemfdet
 
-#endif  // ENSEMFDET_DETECT_GREEDY_PEELER_H_
+#endif  // ENSEMFDET_TESTS_REFEREE_GREEDY_PEELER_H_

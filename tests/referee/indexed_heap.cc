@@ -1,4 +1,4 @@
-#include "detect/indexed_heap.h"
+#include "referee/indexed_heap.h"
 
 #include "common/logging.h"
 

@@ -5,8 +5,12 @@
 // Items are dense ids in [0, capacity); each id may be in the heap at most
 // once, and a position index supports UpdateKey/Remove by id in O(log n).
 // Ties break toward the smaller id so peeling is fully deterministic.
-#ifndef ENSEMFDET_DETECT_INDEXED_HEAP_H_
-#define ENSEMFDET_DETECT_INDEXED_HEAP_H_
+//
+// Test-only: the seed peeler's heap, kept as the referee that
+// tests/peel_heap_test.cc pins the production peel queue
+// (detail::PeelHeap in detect/csr_peeler.h) against.
+#ifndef ENSEMFDET_TESTS_REFEREE_INDEXED_HEAP_H_
+#define ENSEMFDET_TESTS_REFEREE_INDEXED_HEAP_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -64,4 +68,4 @@ class IndexedMinHeap {
 
 }  // namespace ensemfdet
 
-#endif  // ENSEMFDET_DETECT_INDEXED_HEAP_H_
+#endif  // ENSEMFDET_TESTS_REFEREE_INDEXED_HEAP_H_

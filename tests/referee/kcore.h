@@ -6,14 +6,16 @@
 // The implementation is the classic O(|E|) bucket peeling (Matula/Beck),
 // which doubles as an independent cross-check of the greedy peeler's
 // degeneracy ordering machinery.
-#ifndef ENSEMFDET_GRAPH_KCORE_H_
-#define ENSEMFDET_GRAPH_KCORE_H_
+//
+// Test-only: the oracle of property_test's KCorePeelerPropertyTest (a
+// peeled densest block lives in high cores).
+#ifndef ENSEMFDET_TESTS_REFEREE_KCORE_H_
+#define ENSEMFDET_TESTS_REFEREE_KCORE_H_
 
 #include <cstdint>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
-#include "graph/csr_graph.h"
 
 namespace ensemfdet {
 
@@ -35,15 +37,6 @@ struct KCoreDecomposition {
 ///       concurrently on the same graph from any number of threads.
 KCoreDecomposition ComputeKCores(const BipartiteGraph& graph);
 
-/// CSR-native variant: same algorithm peeling flat neighbor arrays (no
-/// EdgeId → endpoint indirection in the inner loop).
-///
-/// @post Produces a decomposition identical to
-///       `ComputeKCores(graph.ToBipartite())` — pinned by
-///       tests/csr_parity_test.cc.
-/// @note Thread-safety: same as the adjacency-list overload.
-KCoreDecomposition ComputeKCores(const CsrGraph& graph);
-
 /// Nodes of the k-core: users and merchants with core number ≥ k,
 /// ascending ids. (Convenience over the decomposition.)
 struct KCoreMembers {
@@ -55,4 +48,4 @@ KCoreMembers MembersOfKCore(const KCoreDecomposition& decomposition,
 
 }  // namespace ensemfdet
 
-#endif  // ENSEMFDET_GRAPH_KCORE_H_
+#endif  // ENSEMFDET_TESTS_REFEREE_KCORE_H_

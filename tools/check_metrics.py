@@ -46,7 +46,7 @@ NAME_RE = re.compile(r"^ensemfdet_[a-z0-9]+(_[a-z0-9]+)+$")
 KNOWN_LAYERS = {
     "cache", "detect", "ingest", "pool", "service", "storage", "stream",
     "wal",
-    # bench_obs times its tight loops against scratch instruments; they
+    # The obs bench times its tight loops against scratch instruments; they
     # never reach the global registry but keep the convention anyway.
     "benchobs",
 }

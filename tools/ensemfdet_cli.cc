@@ -35,6 +35,8 @@
 //   $ ensemfdet_cli evaluate --graph=/tmp/g.tsv --labels=/tmp/labels.tsv
 //   $ ensemfdet_cli bench-smoke
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,6 +48,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/ensemfdet.h"
@@ -88,16 +91,13 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
   int GetInt(const std::string& key, int fallback) {
-    std::string v = GetString(key, "");
-    return v.empty() ? fallback : std::atoi(v.c_str());
+    return GetNumber(key, fallback, "an integer");
   }
   double GetDouble(const std::string& key, double fallback) {
-    std::string v = GetString(key, "");
-    return v.empty() ? fallback : std::atof(v.c_str());
+    return GetNumber(key, fallback, "a number");
   }
   uint64_t GetUint64(const std::string& key, uint64_t fallback) {
-    std::string v = GetString(key, "");
-    return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
+    return GetNumber(key, fallback, "a non-negative integer");
   }
   bool GetBool(const std::string& key, bool fallback) {
     std::string v = GetString(key, "");
@@ -122,6 +122,30 @@ class Flags {
   }
 
  private:
+  // A present numeric flag must parse in full: std::from_chars over the
+  // whole value, in range for T, no sign for unsigned T and finite for
+  // floating T. Anything else ("1e3" for an int, "two", "-1" for a seed,
+  // an empty value) is a usage error, exit 2. An absent flag keeps
+  // `fallback`.
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback, const char* expected) {
+    const std::string v = GetString(key, "");
+    if (!Has(key)) return fallback;
+    T value{};
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, value);
+    bool ok = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>) {
+      ok = ok && std::isfinite(value);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", key.c_str(),
+                   expected, v.c_str());
+      std::exit(2);
+    }
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> seen_;
 };
@@ -871,32 +895,6 @@ int CmdStreamReplay(Flags& flags) {
                  (long long)effective_skip);
   }
 
-  // Narration reads from the global metrics registry: every streaming
-  // Detect mirrors its StreamingDetectionStats into the
-  // ensemfdet_stream_* counters en bloc before the report is published,
-  // so the counter delta between two observed reports IS that report's
-  // stats and the narration lines are bit-identical to ones printed from
-  // the report snapshot. The snapshot remains the fallback when metrics
-  // are compiled out / runtime-disabled, or when a poll observes more
-  // than one new report (the aggregate delta then spans several).
-  obs::MetricsRegistry& mreg = obs::MetricsRegistry::Global();
-  struct StreamCounters {
-    obs::Counter* eligible;
-    obs::Counter* reused;
-    obs::Counter* recomputed;
-    obs::Counter* edges;
-    obs::Counter* edges_recomputed;
-  } mc{mreg.GetCounter("ensemfdet_stream_components_eligible_total"),
-       mreg.GetCounter("ensemfdet_stream_components_reused_total"),
-       mreg.GetCounter("ensemfdet_stream_components_recomputed_total"),
-       mreg.GetCounter("ensemfdet_stream_edges_total"),
-       mreg.GetCounter("ensemfdet_stream_edges_recomputed_total")};
-  int64_t last_eligible = mc.eligible->Value();
-  int64_t last_reused = mc.reused->Value();
-  int64_t last_recomputed = mc.recomputed->Value();
-  int64_t last_edges = mc.edges->Value();
-  int64_t last_edges_recomputed = mc.edges_recomputed->Value();
-
   WallTimer timer;
   uint64_t reported = 0;
   int64_t batch_index = 0;
@@ -906,48 +904,25 @@ int CmdStreamReplay(Flags& flags) {
     if (stop_after > 0 && index >= stop_after) break;
     Status st = service.IngestBatch(*stream, batch);
     if (!st.ok()) return FailWith(st);
-    // Narrate each fired detection as the stream advances (poll is
-    // non-blocking; with a pool the report may trail the ingest).
+    // Narrate the latest fired detection as the stream advances (poll
+    // is non-blocking; with a pool the report may trail the ingest), from
+    // that report's own stats.
     auto state = service.PollReport(*stream);
     if (state.ok() && state->reports_generated > reported) {
-      const bool single_step = state->reports_generated == reported + 1;
       reported = state->reports_generated;
-      const int64_t now_eligible = mc.eligible->Value();
-      const int64_t now_reused = mc.reused->Value();
-      const int64_t now_recomputed = mc.recomputed->Value();
-      const int64_t now_edges = mc.edges->Value();
-      const int64_t now_edges_recomputed = mc.edges_recomputed->Value();
-      const bool from_registry = obs::kMetricsCompiledIn &&
-                                 obs::MetricsRuntimeEnabled() && single_step;
       const StreamingDetectionStats& s = state->report_stats;
-      const int64_t eligible =
-          from_registry ? now_eligible - last_eligible : s.components_eligible;
-      const int64_t reused =
-          from_registry ? now_reused - last_reused : s.components_reused;
-      const int64_t recomputed = from_registry
-                                     ? now_recomputed - last_recomputed
-                                     : s.components_recomputed;
-      const int64_t edges =
-          from_registry ? now_edges - last_edges : s.edges_total;
-      const int64_t edges_dirty = from_registry
-                                      ? now_edges_recomputed -
-                                            last_edges_recomputed
-                                      : s.edges_recomputed;
-      last_eligible = now_eligible;
-      last_reused = now_reused;
-      last_recomputed = now_recomputed;
-      last_edges = now_edges;
-      last_edges_recomputed = now_edges_recomputed;
       std::fprintf(stderr,
                    "[stream-replay] report #%llu epoch=%llu: %lld "
                    "components (%lld reused, %lld recomputed, %.0f%% of "
                    "edges clean)\n",
                    (unsigned long long)reported,
                    (unsigned long long)state->report_epoch,
-                   (long long)eligible, (long long)reused,
-                   (long long)recomputed,
-                   edges > 0
-                       ? 100.0 * (1.0 - (double)edges_dirty / (double)edges)
+                   (long long)s.components_eligible,
+                   (long long)s.components_reused,
+                   (long long)s.components_recomputed,
+                   s.edges_total > 0
+                       ? 100.0 * (1.0 - (double)s.edges_recomputed /
+                                            (double)s.edges_total)
                        : 0.0);
     }
   }
@@ -1391,10 +1366,9 @@ int CmdTraceReport(Flags& flags) {
 }
 
 // ---------------------------------------------------------------------------
-// bench-report: emit the BENCH_peeling.json / BENCH_ensemble.json perf
-// baselines (bench/README.md documents the schema; CI validates and
-// uploads them). The measurements live in bench/perf_harness.cc so the
-// standalone bench binaries report identical numbers.
+// bench-report: emit the BENCH_{ensemble,stream,storage,obs,wal}.json perf
+// baselines (bench/README.md documents the schemas; CI validates and
+// uploads them). The measurements live in bench/perf_harness.cc.
 // ---------------------------------------------------------------------------
 int CmdBenchReport(Flags& flags) {
   bench::PerfGraphSpec graph_spec;
@@ -1402,10 +1376,6 @@ int CmdBenchReport(Flags& flags) {
   graph_spec.seed = flags.GetUint64("seed", 7);
   const int repeats = flags.GetInt("repeats", 5);
   const std::string out_dir = flags.GetString("out-dir", ".");
-
-  bench::PeelingBenchOptions peeling;
-  peeling.graph = graph_spec;
-  peeling.repeats = repeats;
 
   bench::EnsembleBenchOptions ensemble;
   ensemble.graph = graph_spec;
@@ -1455,7 +1425,6 @@ int CmdBenchReport(Flags& flags) {
     const char* file;
     Result<std::string> json;
   } reports[] = {
-      {"BENCH_peeling.json", bench::RunPeelingBench(peeling)},
       {"BENCH_ensemble.json",
        bench::RunEnsembleBench(ensemble, &ensemble_summary)},
       {"BENCH_stream.json", bench::RunStreamBench(stream, &stream_summary)},
@@ -1475,10 +1444,11 @@ int CmdBenchReport(Flags& flags) {
     std::fprintf(stderr, "[bench-report] wrote %s\n", path.c_str());
   }
   std::fprintf(stderr,
-               "[bench-report] ensemble zero-materialization vs "
-               "materializing: %.2fx (%.0f members/s, vote parity verified)\n",
-               ensemble_summary.zero_materialization_speedup,
-               ensemble_summary.members_per_second);
+               "[bench-report] ensemble %.0f members/s, %.2fx at %d threads "
+               "vs 1 (vote parity across pool widths verified)\n",
+               ensemble_summary.members_per_second,
+               ensemble_summary.parallel_speedup,
+               ensemble_summary.parallel_wide_threads);
   std::fprintf(stderr,
                "[bench-report] ensemble arena reuse: %lld allocations "
                "across a warm run (%.3g per member; 0 == perfect reuse)\n",
