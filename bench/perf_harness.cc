@@ -3,18 +3,13 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <limits>
-#include <thread>
 #include <vector>
 
-#include <filesystem>
-
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "datagen/presets.h"
 #include "datagen/transaction_stream.h"
@@ -37,6 +32,43 @@ namespace ensemfdet {
 namespace bench {
 
 namespace {
+
+// The one workload parameter bench-report takes is the dataset1 preset's
+// scale (storage and obs); everything else is fixed here, so a committed
+// document and a CI run at the same --scale/--repeats measure the same
+// workload.
+constexpr uint64_t kSeed = 7;
+
+// Obs bench: ensemble size N and sampling ratio S of the timed run.
+constexpr int kObsSamples = 16;
+constexpr double kObsRatio = 0.1;
+
+// Stream bench workload: a fragmented transaction day — sparse uniform
+// background over large universes (many small components) plus several
+// dense fraud bursts, streamed through a sliding window, detected with an
+// N=8, S=0.25 ensemble per boundary.
+constexpr int64_t kStreamUsers = 6000;
+constexpr int64_t kStreamMerchants = 4000;
+constexpr int64_t kStreamEdges = 5000;
+constexpr int kStreamFraudGroups = 6;
+constexpr int64_t kStreamHorizon = 86400;
+constexpr int64_t kStreamBurstDuration = 2400;
+constexpr int64_t kStreamWindow = 21600;
+constexpr int64_t kStreamDetectionInterval = 600;
+constexpr int64_t kStreamBatchEvents = 128;
+constexpr int kStreamSamples = 8;
+constexpr double kStreamRatio = 0.25;
+
+// WAL bench workload: a synthetic batch stream, one WAL record per batch
+// (exactly what a durable service session appends per IngestBatch ack),
+// group-committed every 16 records under the `batch` policy, with a
+// segment size small enough that rotation cost is in the number.
+constexpr int64_t kWalBatches = 96;
+constexpr int64_t kWalBatchEvents = 128;
+constexpr int64_t kWalUsers = 6000;
+constexpr int64_t kWalMerchants = 4000;
+constexpr int64_t kWalGroupCommitRecords = 16;
+constexpr uint64_t kWalSegmentBytes = 256 * 1024;
 
 // printf-append onto a std::string (JSON is assembled by hand; the schema
 // is small and pinned by bench/README.md + the CI validator).
@@ -74,13 +106,12 @@ Timing Measure(const std::string& name, int repeats,
   return t;
 }
 
-void AppendGraphJson(std::string* out, const PerfGraphSpec& spec,
-                     const BipartiteGraph& graph) {
+void AppendGraphJson(std::string* out, double scale, const CsrGraph& graph) {
   AppendF(out,
           "  \"graph\": {\"preset\": \"dataset1\", \"scale\": %.6g, "
           "\"seed\": %llu, \"users\": %lld, \"merchants\": %lld, "
           "\"edges\": %lld},\n",
-          spec.scale, static_cast<unsigned long long>(spec.seed),
+          scale, static_cast<unsigned long long>(kSeed),
           static_cast<long long>(graph.num_users()),
           static_cast<long long>(graph.num_merchants()),
           static_cast<long long>(graph.num_edges()));
@@ -100,9 +131,8 @@ void AppendTimingsJson(std::string* out, const std::vector<Timing>& timings) {
 }
 
 // Bit-exact ensemble report equality (votes, weighted votes, member
-// structural stats) — the ensemble bench's vote-identity gate across pool
-// widths and the obs bench's instrumentation-must-not-perturb-results
-// gate.
+// structural stats) — the obs bench's instrumentation-must-not-perturb-
+// results gate.
 bool SameEnsembleReports(const EnsemFDetReport& a, const EnsemFDetReport& b) {
   if (a.num_samples != b.num_samples ||
       a.votes.all_user_votes().size() != b.votes.all_user_votes().size() ||
@@ -130,29 +160,22 @@ bool SameEnsembleReports(const EnsemFDetReport& a, const EnsemFDetReport& b) {
   return true;
 }
 
-}  // namespace
-
-Result<std::string> RunStorageBench(const StorageBenchOptions& options,
-                                    StorageBenchSummary* summary) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
-  ENSEMFDET_ASSIGN_OR_RETURN(
-      Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
-                                        options.graph.scale,
-                                        options.graph.seed));
-  const BipartiteGraph& graph = dataset.graph;
-  const CsrGraph csr = CsrGraph::FromBipartite(graph);
+// The storage bench (BENCH_storage.json): the dataset1 preset graph
+// loaded three ways — TSV parse, streaming binary read, and mmap
+// zero-copy open (without and with fingerprint verification) — plus file
+// sizes and speedups. Before anything is timed it writes the snapshot and
+// verifies that BOTH readers reproduce the writer's content fingerprint,
+// refusing to emit (Internal) on any mismatch.
+Result<std::string> RunStorageBench(const BipartiteGraph& graph,
+                                    const CsrGraph& csr, double scale,
+                                    int repeats) {
   const uint64_t source_fingerprint = FingerprintGraph(csr);
 
   // Scratch files. Both loads are timed against the page cache warm (the
   // files were just written), which is the registry warm-start scenario
   // the snapshot format exists for; the TSV parse gets the same warmth.
   std::error_code ec;
-  std::filesystem::path dir =
-      options.scratch_dir.empty()
-          ? std::filesystem::temp_directory_path(ec)
-          : std::filesystem::path(options.scratch_dir);
+  const std::filesystem::path dir = std::filesystem::temp_directory_path(ec);
   if (ec) return Status::IOError("no temp directory: " + ec.message());
   const std::string tsv_path =
       (dir / "ensemfdet_bench_storage.tsv").string();
@@ -183,20 +206,20 @@ Result<std::string> RunStorageBench(const StorageBenchOptions& options,
   }
 
   std::vector<Timing> timings;
-  timings.push_back(Measure("tsv_parse", options.repeats, [&] {
+  timings.push_back(Measure("tsv_parse", repeats, [&] {
     BipartiteGraph g = LoadEdgeListTsv(tsv_path).ValueOrDie();
     (void)g;
   }));
-  timings.push_back(Measure("binary_read", options.repeats, [&] {
+  timings.push_back(Measure("binary_read", repeats, [&] {
     CsrGraph g = storage::LoadCsrGraphSnapshot(efg_path).ValueOrDie();
     (void)g;
   }));
-  timings.push_back(Measure("mmap_open", options.repeats, [&] {
+  timings.push_back(Measure("mmap_open", repeats, [&] {
     storage::MappedCsrGraph g =
         storage::MappedCsrGraph::Open(efg_path).ValueOrDie();
     (void)g;
   }));
-  timings.push_back(Measure("mmap_open_verified", options.repeats, [&] {
+  timings.push_back(Measure("mmap_open_verified", repeats, [&] {
     storage::MappedCsrGraph g =
         storage::MappedCsrGraph::Open(efg_path).ValueOrDie();
     ENSEMFDET_CHECK(g.VerifyFingerprint().ok());
@@ -212,19 +235,12 @@ Result<std::string> RunStorageBench(const StorageBenchOptions& options,
   const double mmap_verified_speedup =
       timings[0].seconds_min / timings[3].seconds_min;
 
-  if (summary != nullptr) {
-    summary->mmap_verified_speedup_vs_tsv = mmap_verified_speedup;
-    summary->binary_read_speedup_vs_tsv = binary_speedup;
-    summary->tsv_bytes = tsv_bytes;
-    summary->efg_bytes = efg_bytes;
-  }
-
   std::string out;
   out.append("{\n");
   out.append("  \"schema_version\": 1,\n");
   out.append("  \"bench\": \"storage\",\n");
-  AppendGraphJson(&out, options.graph, graph);
-  AppendF(&out, "  \"config\": {\"repeats\": %d},\n", options.repeats);
+  AppendGraphJson(&out, scale, csr);
+  AppendF(&out, "  \"config\": {\"repeats\": %d},\n", repeats);
   AppendTimingsJson(&out, timings);
   AppendF(&out,
           "  \"file\": {\"tsv_bytes\": %.0f, \"efg_bytes\": %.0f},\n",
@@ -241,181 +257,23 @@ Result<std::string> RunStorageBench(const StorageBenchOptions& options,
   return out;
 }
 
-Result<std::string> RunEnsembleBench(const EnsembleBenchOptions& options,
-                                     EnsembleBenchSummary* summary) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
-  ENSEMFDET_ASSIGN_OR_RETURN(
-      Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
-                                        options.graph.scale,
-                                        options.graph.seed));
-  const BipartiteGraph& graph = dataset.graph;
-  // The ensemble runs over the shared CSR form, built once — matching how
-  // the service serves jobs (a GraphSnapshot holds the CSR).
-  const CsrGraph csr = CsrGraph::FromBipartite(graph);
-
+// The observability-overhead bench (BENCH_obs.json): the same
+// zero-materialization ensemble run timed with metrics recording enabled
+// vs runtime-disabled (one process, SetMetricsRuntimeEnabled), plus
+// tight-loop per-record costs for Counter::Increment, Histogram::Record
+// and a full TraceSpan. Before anything is timed it verifies the enabled
+// and disabled runs produce bit-identical reports — instrumentation must
+// never perturb results — and fails with Internal, refusing to emit, on
+// any divergence. The enabled-vs-disabled overhead is CI-gated at 2% by
+// tools/check_bench.py. More repeats than the other benches: the gated
+// quantity is a small difference between two timings, so the min needs
+// extra samples to shake scheduler noise out.
+Result<std::string> RunObsBench(const CsrGraph& csr, double scale,
+                                int requested_repeats) {
   EnsemFDetConfig config;
-  config.num_samples = options.num_samples;
-  config.ratio = options.ratio;
-  config.seed = options.graph.seed;
-
-  ThreadPool* pool = &DefaultThreadPool();
-  std::optional<ThreadPool> owned;
-  if (options.threads > 0) {
-    owned.emplace(options.threads);
-    pool = &*owned;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int hardware_threads = hw == 0 ? 1 : static_cast<int>(hw);
-  // The wide scaling arm is the runner's true core count, resolved and
-  // recorded in the JSON — schema 2 compared against a fixed 4-wide pool
-  // even on smaller machines, so its "parallel speedup" on a 1-CPU
-  // runner measured oversubscription, not scaling.
-  const int wide_threads = hardware_threads;
-  // Member-throughput rows at 1 / 2 / 4 / all-hardware threads (deduped,
-  // ascending) — the wide row is what check_bench.py's scaling gate reads
-  // when hardware_threads >= 4.
-  std::vector<int> scaling_widths = {1, 2, 4, wide_threads};
-  std::sort(scaling_widths.begin(), scaling_widths.end());
-  scaling_widths.erase(
-      std::unique(scaling_widths.begin(), scaling_widths.end()),
-      scaling_widths.end());
-  EnsemFDet detector(config);
-
-  // Vote-identity gate (untimed): the SAME detection must come out of
-  // the configured pool and every pool width the scaling rows will time.
-  // Any divergence refuses the document.
-  ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport hot, detector.Run(csr, pool));
-  std::vector<std::unique_ptr<ThreadPool>> scaling_pools;
-  for (int width : scaling_widths) {
-    scaling_pools.push_back(width > 1 ? std::make_unique<ThreadPool>(width)
-                                      : nullptr);
-  }
-  bool width_vote_identity = true;
-  for (size_t w = 0; w < scaling_widths.size(); ++w) {
-    ENSEMFDET_ASSIGN_OR_RETURN(
-        EnsemFDetReport at_width,
-        detector.Run(csr, scaling_pools[w].get()));
-    width_vote_identity =
-        width_vote_identity && SameEnsembleReports(at_width, hot);
-  }
-  if (!width_vote_identity) {
-    return Status::Internal(
-        "ensemble votes diverged between pool widths — refusing to emit "
-        "BENCH_ensemble.json");
-  }
-  // The identity runs double as the untimed warm-up: every scaling pool's
-  // thread-local arenas have now been touched once, so the timed rows
-  // measure steady-state reuse, not first-touch growth.
-
-  std::vector<Timing> timings;
-  timings.push_back(Measure("ensemble_run", options.repeats, [&] {
-    EnsemFDetReport r = detector.Run(csr, pool).ValueOrDie();
-    (void)r;
-  }));
-  // One timed arm per scaling width (width 1 = the serial loop, exactly
-  // like a null pool in production).
-  std::vector<Timing> scaling_timings;
-  for (size_t w = 0; w < scaling_widths.size(); ++w) {
-    ThreadPool* width_pool = scaling_pools[w].get();
-    scaling_timings.push_back(Measure(
-        "ensemble_run_threads_" + std::to_string(scaling_widths[w]),
-        options.repeats, [&] {
-          EnsemFDetReport r = detector.Run(csr, width_pool).ValueOrDie();
-          (void)r;
-        }));
-  }
-  timings.insert(timings.end(), scaling_timings.begin(),
-                 scaling_timings.end());
-
-  // Arena-reuse stats from one more (untimed) fully warm run.
-  ENSEMFDET_ASSIGN_OR_RETURN(EnsemFDetReport stats_run,
-                             detector.Run(csr, pool));
-  int64_t arena_grow_events = 0;
-  for (const auto& m : stats_run.members) {
-    arena_grow_events += m.arena_grow_events;
-  }
-  const double arena_grow_per_member =
-      options.num_samples > 0
-          ? static_cast<double>(arena_grow_events) / options.num_samples
-          : 0.0;
-
-  const double members_per_second =
-      options.num_samples / timings[0].seconds_min;
-  // 1-thread vs the resolved wide arm — looked up by width, NOT the
-  // widest timed row: on a machine with fewer than 4 cores the 2- and
-  // 4-wide rows measure oversubscription, and the honest wide arm is the
-  // hardware-thread row (possibly width 1).
-  size_t wide_idx = 0;
-  for (size_t w = 0; w < scaling_widths.size(); ++w) {
-    if (scaling_widths[w] == wide_threads) wide_idx = w;
-  }
-  const double parallel_speedup = scaling_timings.front().seconds_min /
-                                  scaling_timings[wide_idx].seconds_min;
-
-  if (summary != nullptr) {
-    summary->members_per_second = members_per_second;
-    summary->parallel_speedup = parallel_speedup;
-    summary->parallel_wide_threads = wide_threads;
-    summary->arena_grow_events = arena_grow_events;
-    summary->arena_grow_per_member = arena_grow_per_member;
-  }
-
-  std::string out;
-  out.append("{\n");
-  out.append("  \"schema_version\": 5,\n");
-  out.append("  \"bench\": \"ensemble\",\n");
-  AppendGraphJson(&out, options.graph, graph);
-  AppendF(&out,
-          "  \"config\": {\"repeats\": %d, \"num_samples\": %d, "
-          "\"ratio\": %.4g, \"threads\": %d, \"hardware_threads\": %d},\n",
-          options.repeats, options.num_samples, options.ratio,
-          pool->num_threads(), hardware_threads);
-  AppendTimingsJson(&out, timings);
-  out.append("  \"scaling\": [\n");
-  for (size_t w = 0; w < scaling_widths.size(); ++w) {
-    AppendF(&out,
-            "    {\"threads\": %d, \"members_per_second\": %.6g, "
-            "\"seconds_min\": %.9g}%s\n",
-            scaling_widths[w],
-            options.num_samples / scaling_timings[w].seconds_min,
-            scaling_timings[w].seconds_min,
-            w + 1 < scaling_widths.size() ? "," : "");
-  }
-  out.append("  ],\n");
-  AppendF(&out, "  \"throughput\": {\"members_per_second\": %.6g},\n",
-          members_per_second);
-  AppendF(&out,
-          "  \"speedup\": {\"parallel_1thread_vs_wide\": %.4g, "
-          "\"parallel_wide_threads\": %d},\n",
-          parallel_speedup, wide_threads);
-  AppendF(&out,
-          "  \"arena\": {\"grow_events\": %lld, "
-          "\"grow_events_per_member\": %.4g},\n",
-          static_cast<long long>(arena_grow_events), arena_grow_per_member);
-  AppendF(&out,
-          "  \"parity\": {\"vote_identity_across_pool_widths\": %s}\n",
-          width_vote_identity ? "true" : "false");
-  out.append("}\n");
-  return out;
-}
-
-Result<std::string> RunObsBench(const ObsBenchOptions& options,
-                                ObsBenchSummary* summary) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
-  ENSEMFDET_ASSIGN_OR_RETURN(
-      Dataset dataset, GenerateJdPreset(JdPreset::kDataset1,
-                                        options.graph.scale,
-                                        options.graph.seed));
-  const CsrGraph csr = CsrGraph::FromBipartite(dataset.graph);
-
-  EnsemFDetConfig config;
-  config.num_samples = options.num_samples;
-  config.ratio = options.ratio;
-  config.seed = options.graph.seed;
+  config.num_samples = kObsSamples;
+  config.ratio = kObsRatio;
+  config.seed = kSeed;
   EnsemFDet detector(config);
 
   // Everything below toggles the process-wide runtime switch; restore the
@@ -475,7 +333,7 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
   // of the per-arm minima — which also requires an EVEN repeat count, so
   // an odd request is rounded up rather than leaving one arm with an
   // extra turn in the fast slot.
-  const int repeats = options.repeats + (options.repeats % 2);
+  const int repeats = requested_repeats + (requested_repeats % 2);
   Timing on_timing, off_timing;
   on_timing.name = "ensemble_run_metrics_on";
   off_timing.name = "ensemble_run_metrics_off";
@@ -545,25 +403,16 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
   const double span_ns =
       timings[4].seconds_min / static_cast<double>(kOps) * 1e9;
 
-  if (summary != nullptr) {
-    summary->overhead_fraction = overhead_fraction;
-    summary->seconds_metrics_on = seconds_on;
-    summary->seconds_metrics_off = seconds_off;
-    summary->counter_ns_per_increment = counter_ns;
-    summary->histogram_ns_per_record = histogram_ns;
-    summary->span_ns_per_record = span_ns;
-  }
-
   std::string out;
   out.append("{\n");
   out.append("  \"schema_version\": 1,\n");
   out.append("  \"bench\": \"obs\",\n");
-  AppendGraphJson(&out, options.graph, dataset.graph);
+  AppendGraphJson(&out, scale, csr);
   AppendF(&out,
           "  \"config\": {\"repeats\": %d, \"num_samples\": %d, "
           "\"ratio\": %.4g, \"metrics_compiled_in\": %s, "
           "\"flight_recorder_installed\": %s},\n",
-          repeats, options.num_samples, options.ratio,
+          repeats, kObsSamples, kObsRatio,
           obs::kMetricsCompiledIn ? "true" : "false",
           flight_installed ? "true" : "false");
   AppendTimingsJson(&out, timings);
@@ -580,8 +429,6 @@ Result<std::string> RunObsBench(const ObsBenchOptions& options,
   return out;
 }
 
-namespace {
-
 // The stream-bench workload: a fragmented transaction day. Uniform (not
 // Zipf) background keeps the window graph split into many small
 // components — the regime dirty scoping exists for; the honest caveat
@@ -595,14 +442,14 @@ struct StreamWorkload {
   int64_t num_events = 0;
 };
 
-Result<StreamWorkload> BuildStreamWorkload(const StreamBenchOptions& o) {
+Result<StreamWorkload> BuildStreamWorkload() {
   DataGenConfig config;
-  config.num_users = o.num_users;
-  config.num_merchants = o.num_merchants;
-  config.num_edges = o.num_edges;
+  config.num_users = kStreamUsers;
+  config.num_merchants = kStreamMerchants;
+  config.num_edges = kStreamEdges;
   config.user_zipf_exponent = 0.0;
   config.merchant_zipf_exponent = 0.0;
-  for (int g = 0; g < o.num_fraud_groups; ++g) {
+  for (int g = 0; g < kStreamFraudGroups; ++g) {
     FraudGroupSpec group;
     group.num_users = 18;
     group.num_merchants = 8;
@@ -610,30 +457,30 @@ Result<StreamWorkload> BuildStreamWorkload(const StreamBenchOptions& o) {
     group.camouflage_per_user = 0.0;
     config.fraud_groups.push_back(group);
   }
-  config.seed = o.seed;
+  config.seed = kSeed;
   ENSEMFDET_ASSIGN_OR_RETURN(Dataset dataset, GenerateDataset(config));
 
   StreamTimelineConfig timeline;
-  timeline.horizon = o.horizon;
-  timeline.burst_duration = o.burst_duration;
-  timeline.seed = o.seed + 1;
+  timeline.horizon = kStreamHorizon;
+  timeline.burst_duration = kStreamBurstDuration;
+  timeline.seed = kSeed + 1;
   ENSEMFDET_ASSIGN_OR_RETURN(std::vector<Transaction> events,
                              BuildTransactionStream(dataset, timeline));
 
   StreamWorkload workload;
   workload.num_events = static_cast<int64_t>(events.size());
   ENSEMFDET_ASSIGN_OR_RETURN(workload.batches,
-                             SliceIntoBatches(events, o.batch_events));
-  workload.store_config.num_users = o.num_users;
-  workload.store_config.num_merchants = o.num_merchants;
-  workload.store_config.window = o.window;
-  workload.detector_config.ensemble.num_samples = o.num_samples;
-  workload.detector_config.ensemble.ratio = o.ratio;
-  workload.detector_config.ensemble.seed = o.seed;
+                             SliceIntoBatches(events, kStreamBatchEvents));
+  workload.store_config.num_users = kStreamUsers;
+  workload.store_config.num_merchants = kStreamMerchants;
+  workload.store_config.window = kStreamWindow;
+  workload.detector_config.ensemble.num_samples = kStreamSamples;
+  workload.detector_config.ensemble.ratio = kStreamRatio;
+  workload.detector_config.ensemble.seed = kSeed;
   // The window holds thousands of components; never let LRU churn mask
   // reuse in the measurement.
   workload.detector_config.component_cache_capacity = 1u << 16;
-  workload.detection_interval = o.detection_interval;
+  workload.detection_interval = kStreamDetectionInterval;
   return workload;
 }
 
@@ -721,15 +568,16 @@ void CompareStreamReports(const StreamingReport& a, const StreamingReport& b,
   }
 }
 
-}  // namespace
-
-Result<std::string> RunStreamBench(const StreamBenchOptions& options,
-                                   StreamBenchSummary* summary) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
-  ENSEMFDET_ASSIGN_OR_RETURN(StreamWorkload workload,
-                             BuildStreamWorkload(options));
+// The incremental-ingest stream bench (BENCH_stream.json): the same
+// store+boundary replay timed twice — dirty-scoped incremental detection
+// (warm StreamingDetector) vs a full rebuild (cold detector per
+// boundary) — plus reuse statistics. Before anything is timed it
+// verifies, at *every* detection boundary, that the incremental report
+// is bit-identical (votes, weighted votes, member structural stats) to
+// the full rerun, and fails with Internal — refusing to emit — on any
+// divergence.
+Result<std::string> RunStreamBench(int repeats) {
+  ENSEMFDET_ASSIGN_OR_RETURN(StreamWorkload workload, BuildStreamWorkload());
 
   // Untimed parity gate: at *every* detection boundary the dirty-scoped
   // incremental report must equal the full rerun bit for bit — a
@@ -768,12 +616,12 @@ Result<std::string> RunStreamBench(const StreamBenchOptions& options,
   full_reports.clear();
 
   std::vector<Timing> timings;
-  timings.push_back(Measure("incremental_replay", options.repeats, [&] {
+  timings.push_back(Measure("incremental_replay", repeats, [&] {
     ReplayOutcome r =
         ReplayStream(workload, /*incremental=*/true, nullptr).ValueOrDie();
     (void)r;
   }));
-  timings.push_back(Measure("full_rebuild_replay", options.repeats, [&] {
+  timings.push_back(Measure("full_rebuild_replay", repeats, [&] {
     ReplayOutcome r =
         ReplayStream(workload, /*incremental=*/false, nullptr).ValueOrDie();
     (void)r;
@@ -797,15 +645,6 @@ Result<std::string> RunStreamBench(const StreamBenchOptions& options,
                 static_cast<double>(incremental_outcome.edges_total)
           : 0.0;
 
-  if (summary != nullptr) {
-    summary->events_per_second_incremental = events_per_second_incremental;
-    summary->events_per_second_full_rebuild = events_per_second_full;
-    summary->incremental_speedup = speedup;
-    summary->detections = incremental_outcome.detections;
-    summary->component_reuse_fraction = reuse_fraction;
-    summary->edge_recompute_fraction = edge_recompute_fraction;
-  }
-
   std::string out;
   out.append("{\n");
   out.append("  \"schema_version\": 1,\n");
@@ -814,22 +653,21 @@ Result<std::string> RunStreamBench(const StreamBenchOptions& options,
           "  \"graph\": {\"preset\": \"fragmented_stream\", \"scale\": 1, "
           "\"seed\": %llu, \"users\": %lld, \"merchants\": %lld, "
           "\"edges\": %lld},\n",
-          static_cast<unsigned long long>(options.seed),
-          static_cast<long long>(options.num_users),
-          static_cast<long long>(options.num_merchants),
-          static_cast<long long>(options.num_edges));
+          static_cast<unsigned long long>(kSeed),
+          static_cast<long long>(kStreamUsers),
+          static_cast<long long>(kStreamMerchants),
+          static_cast<long long>(kStreamEdges));
   AppendF(&out,
           "  \"config\": {\"repeats\": %d, \"num_samples\": %d, "
           "\"ratio\": %.4g, \"horizon\": %lld, \"burst_duration\": %lld, "
           "\"window\": %lld, \"detection_interval\": %lld, "
           "\"batch_events\": %lld, \"fraud_groups\": %d},\n",
-          options.repeats, options.num_samples, options.ratio,
-          static_cast<long long>(options.horizon),
-          static_cast<long long>(options.burst_duration),
-          static_cast<long long>(options.window),
-          static_cast<long long>(options.detection_interval),
-          static_cast<long long>(options.batch_events),
-          options.num_fraud_groups);
+          repeats, kStreamSamples, kStreamRatio,
+          static_cast<long long>(kStreamHorizon),
+          static_cast<long long>(kStreamBurstDuration),
+          static_cast<long long>(kStreamWindow),
+          static_cast<long long>(kStreamDetectionInterval),
+          static_cast<long long>(kStreamBatchEvents), kStreamFraudGroups);
   AppendTimingsJson(&out, timings);
   AppendF(&out,
           "  \"throughput\": {\"events_per_second_incremental\": %.6g, "
@@ -859,31 +697,26 @@ Result<std::string> RunStreamBench(const StreamBenchOptions& options,
   return out;
 }
 
-Result<std::string> RunWalBench(const WalBenchOptions& options,
-                                WalBenchSummary* summary) {
-  if (options.repeats < 1) {
-    return Status::InvalidArgument("repeats must be >= 1");
-  }
-  if (options.num_batches < 1 || options.batch_events < 1) {
-    return Status::InvalidArgument(
-        "num_batches and batch_events must be >= 1");
-  }
-  if (options.group_commit_records < 1) {
-    return Status::InvalidArgument("group_commit_records must be >= 1");
-  }
-
+// The durable-ingest WAL bench (BENCH_wal.json): the same synthetic batch
+// stream appended through WalWriter three times, once per fsync policy
+// (none / batch / always), reported as acked events/sec — the price of
+// each durability level at the IngestBatch ack boundary. Before anything
+// is timed it writes the full log once, replays it with ReplayWal, and
+// verifies every record decodes bit-identical to the batch that produced
+// it (seq chain, timestamps, every transaction); any divergence fails
+// with Internal, refusing to emit.
+Result<std::string> RunWalBench(int repeats) {
   // Deterministic batch stream: non-decreasing timestamps over the
   // configured universes. Encoded once up front so every policy pays the
   // same codec cost and the timings isolate framing + fsync.
-  uint64_t rng = options.seed * 0x9E3779B97F4A7C15ull + 1;
+  uint64_t rng = kSeed * 0x9E3779B97F4A7C15ull + 1;
   auto next = [&rng]() {
     rng ^= rng << 13;
     rng ^= rng >> 7;
     rng ^= rng << 17;
     return rng;
   };
-  std::vector<IngestBatch> batches(
-      static_cast<size_t>(options.num_batches));
+  std::vector<IngestBatch> batches(static_cast<size_t>(kWalBatches));
   std::vector<std::vector<std::byte>> payloads;
   payloads.reserve(batches.size());
   std::vector<int64_t> record_timestamps;
@@ -891,15 +724,15 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
   int64_t clock = 0;
   uint64_t payload_bytes = 0;
   for (IngestBatch& batch : batches) {
-    batch.transactions.reserve(static_cast<size_t>(options.batch_events));
-    for (int64_t i = 0; i < options.batch_events; ++i) {
+    batch.transactions.reserve(static_cast<size_t>(kWalBatchEvents));
+    for (int64_t i = 0; i < kWalBatchEvents; ++i) {
       clock += static_cast<int64_t>(next() % 3);
       Transaction tx;
       tx.timestamp = clock;
       tx.user = static_cast<int64_t>(
-          next() % static_cast<uint64_t>(options.num_users));
+          next() % static_cast<uint64_t>(kWalUsers));
       tx.merchant = static_cast<int64_t>(
-          next() % static_cast<uint64_t>(options.num_merchants));
+          next() % static_cast<uint64_t>(kWalMerchants));
       batch.transactions.push_back(tx);
     }
     payloads.push_back(ingest::EncodeIngestBatch(batch));
@@ -909,14 +742,12 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
 
   namespace fs = std::filesystem;
   std::error_code ec;
-  const std::string scratch = options.scratch_dir.empty()
-                                  ? fs::temp_directory_path(ec).string()
-                                  : options.scratch_dir;
+  const std::string scratch = fs::temp_directory_path(ec).string();
   if (scratch.empty()) {
     return Status::IOError("cannot resolve a scratch directory");
   }
   const std::string wal_dir =
-      scratch + "/ensemfdet_bench_wal_" + std::to_string(options.seed);
+      scratch + "/ensemfdet_bench_wal_" + std::to_string(kSeed);
 
   int64_t segments_created = 0;
   auto write_log = [&](storage::WalFsyncPolicy policy) -> Status {
@@ -924,8 +755,8 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
     fs::remove_all(wal_dir, rm_ec);
     storage::WalWriterOptions wal_options;
     wal_options.fsync = policy;
-    wal_options.group_commit_records = options.group_commit_records;
-    wal_options.segment_bytes = options.segment_bytes;
+    wal_options.group_commit_records = kWalGroupCommitRecords;
+    wal_options.segment_bytes = kWalSegmentBytes;
     ENSEMFDET_ASSIGN_OR_RETURN(
         storage::WalWriter writer,
         storage::WalWriter::Open(wal_dir, wal_options));
@@ -990,32 +821,25 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
     if (!st.ok() && bench_error.ok()) bench_error = st;
   };
   std::vector<Timing> timings;
-  timings.push_back(Measure("append_fsync_none", options.repeats, [&] {
+  timings.push_back(Measure("append_fsync_none", repeats, [&] {
     timed(storage::WalFsyncPolicy::kNone);
   }));
-  timings.push_back(Measure("append_fsync_batch", options.repeats, [&] {
+  timings.push_back(Measure("append_fsync_batch", repeats, [&] {
     timed(storage::WalFsyncPolicy::kBatch);
   }));
-  timings.push_back(Measure("append_fsync_always", options.repeats, [&] {
+  timings.push_back(Measure("append_fsync_always", repeats, [&] {
     timed(storage::WalFsyncPolicy::kAlways);
   }));
   fs::remove_all(wal_dir, ec);
   ENSEMFDET_RETURN_NOT_OK(bench_error);
 
-  const int64_t events = options.num_batches * options.batch_events;
+  const int64_t events = kWalBatches * kWalBatchEvents;
   const double eps_none =
       static_cast<double>(events) / timings[0].seconds_min;
   const double eps_batch =
       static_cast<double>(events) / timings[1].seconds_min;
   const double eps_always =
       static_cast<double>(events) / timings[2].seconds_min;
-
-  if (summary != nullptr) {
-    summary->acked_events_per_second_none = eps_none;
-    summary->acked_events_per_second_batch = eps_batch;
-    summary->acked_events_per_second_always = eps_always;
-    summary->replay_identical = identical;
-  }
 
   std::string out;
   out.append("{\n");
@@ -1025,18 +849,18 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
           "  \"graph\": {\"preset\": \"synthetic_batches\", \"scale\": 1, "
           "\"seed\": %llu, \"users\": %lld, \"merchants\": %lld, "
           "\"edges\": %lld},\n",
-          static_cast<unsigned long long>(options.seed),
-          static_cast<long long>(options.num_users),
-          static_cast<long long>(options.num_merchants),
+          static_cast<unsigned long long>(kSeed),
+          static_cast<long long>(kWalUsers),
+          static_cast<long long>(kWalMerchants),
           static_cast<long long>(events));
   AppendF(&out,
           "  \"config\": {\"repeats\": %d, \"num_batches\": %lld, "
           "\"batch_events\": %lld, \"group_commit_records\": %lld, "
           "\"segment_bytes\": %llu},\n",
-          options.repeats, static_cast<long long>(options.num_batches),
-          static_cast<long long>(options.batch_events),
-          static_cast<long long>(options.group_commit_records),
-          static_cast<unsigned long long>(options.segment_bytes));
+          repeats, static_cast<long long>(kWalBatches),
+          static_cast<long long>(kWalBatchEvents),
+          static_cast<long long>(kWalGroupCommitRecords),
+          static_cast<unsigned long long>(kWalSegmentBytes));
   AppendTimingsJson(&out, timings);
   AppendF(&out,
           "  \"throughput\": {\"acked_events_per_second_none\": %.6g, "
@@ -1046,7 +870,7 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
   AppendF(&out,
           "  \"wal\": {\"records\": %lld, \"payload_bytes\": %llu, "
           "\"segments_created\": %lld},\n",
-          static_cast<long long>(options.num_batches),
+          static_cast<long long>(kWalBatches),
           static_cast<unsigned long long>(payload_bytes),
           static_cast<long long>(segments_created));
   AppendF(&out,
@@ -1058,6 +882,7 @@ Result<std::string> RunWalBench(const WalBenchOptions& options,
   return out;
 }
 
+// Writes `text` to `path` (overwriting); IOError on failure.
 Status WriteTextFile(const std::string& path, const std::string& text) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open " + path + " for writing");
@@ -1065,6 +890,43 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
   out.flush();  // surface deferred write errors (disk full) before checking
   if (!out.good()) return Status::IOError("short write to " + path);
   return Status::OK();
+}
+
+}  // namespace
+
+Status WriteBenchReport(double scale, int repeats,
+                        const std::string& out_dir) {
+  if (repeats < 1) return Status::InvalidArgument("repeats must be >= 1");
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    return Status::IOError("cannot create " + out_dir + ": " + ec.message());
+  }
+  // The storage and obs benches share one preset graph, generated before
+  // any bench runs so a scale the preset refuses stops the report early.
+  ENSEMFDET_ASSIGN_OR_RETURN(
+      Dataset dataset, GenerateJdPreset(JdPreset::kDataset1, scale, kSeed));
+  const CsrGraph csr = CsrGraph::FromBipartite(dataset.graph);
+
+  // Each document is written as soon as its bench has passed its gate.
+  const auto write = [&](const char* file,
+                         const Result<std::string>& json) -> Status {
+    ENSEMFDET_RETURN_NOT_OK(json.status());
+    const std::string path = out_dir + "/" + file;
+    ENSEMFDET_RETURN_NOT_OK(WriteTextFile(path, *json));
+    std::fprintf(stderr, "[bench-report] wrote %s\n", path.c_str());
+    return Status::OK();
+  };
+  const int half_repeats = std::max(1, repeats / 2);
+  ENSEMFDET_RETURN_NOT_OK(
+      write("BENCH_stream.json", RunStreamBench(half_repeats)));
+  ENSEMFDET_RETURN_NOT_OK(
+      write("BENCH_storage.json",
+            RunStorageBench(dataset.graph, csr, scale, repeats)));
+  ENSEMFDET_RETURN_NOT_OK(
+      write("BENCH_obs.json",
+            RunObsBench(csr, scale, std::max(repeats, 12))));
+  return write("BENCH_wal.json", RunWalBench(half_repeats));
 }
 
 }  // namespace bench

@@ -16,14 +16,6 @@ Checks, per document (schema: bench/README.md):
     a false here means the file was forged or the producer changed,
   * regression gates against the committed baselines (skippable with
     --skip-regression):
-      - ensemble: the baseline must be at the same scale; on runners
-        with >= 4 hardware threads the scaling row at the full
-        hardware-thread width must deliver >= --scaling-floor x the
-        1-thread row's members_per_second
-        (self-normalized: both rows are timed in the same process, so
-        the gate is runner-independent and skips itself on narrow
-        machines where the wide arm IS the 1-thread arm). Ensemble speed
-        itself is judged end to end by bench/e2e,
       - stream: incremental speedup >= --stream-floor (hard) and within
         --stream-tolerance of the baseline (self-normalized by
         construction: both replays are timed in the same process),
@@ -46,7 +38,6 @@ import json
 import sys
 
 EXPECTED_SCHEMA = {
-    "BENCH_ensemble.json": 5,
     "BENCH_stream.json": 1,
     "BENCH_storage.json": 1,
     "BENCH_obs.json": 1,
@@ -89,37 +80,6 @@ def validate_envelope(name, doc, schema):
     for key, value in parity.items():
         if isinstance(value, bool):
             check(value, f"{name}: parity check '{key}' is false")
-
-
-def check_ensemble_scaling(fresh, floor):
-    # Self-normalized multi-core gate: on a runner with >= 4 hardware
-    # threads the full-width scaling row must deliver >= floor x the
-    # 1-thread row's members_per_second. Both rows come from the same
-    # process on the same graph, so runner speed cancels out; on narrow
-    # machines (hardware_threads < 4) the wide arm measures nothing but
-    # oversubscription, so the gate skips itself.
-    hw = fresh["config"]["hardware_threads"]
-    if hw < 4:
-        return f"scaling gate skipped ({hw} hw threads)"
-    rows = {row["threads"]: row["members_per_second"]
-            for row in fresh["scaling"]}
-    check(1 in rows, "ensemble: scaling has no 1-thread row")
-    check(hw in rows,
-          f"ensemble: scaling has no row at hardware width {hw}")
-    ratio = rows[hw] / rows[1]
-    check(ratio >= floor,
-          f"ensemble stopped scaling: {ratio:.2f}x members/s at {hw} "
-          f"threads vs 1 thread (floor {floor}x) — the work-stealing "
-          f"scheduler is not spreading members/components")
-    return f"{ratio:.2f}x scaling at {hw} threads"
-
-
-def check_ensemble(fresh, baseline, scaling_floor):
-    check(baseline["graph"]["scale"] == fresh["graph"]["scale"],
-          "ensemble: baseline/CI scale mismatch - comparison meaningless")
-    scaling_note = check_ensemble_scaling(fresh, scaling_floor)
-    return (f"ensemble {fresh['throughput']['members_per_second']:.0f} "
-            f"members/s {scaling_note}")
 
 
 def check_stream(fresh, baseline, floor, tolerance):
@@ -203,17 +163,13 @@ def main():
                         help="directory holding the committed baselines")
     parser.add_argument("--skip-regression", action="store_true",
                         help="validate schemas/parity only")
-    parser.add_argument("--scaling-floor", type=float, default=1.6,
-                        help="min members_per_second(hardware threads) / "
-                             "members_per_second(1 thread) when the runner "
-                             "has >= 4 hardware threads")
     parser.add_argument("--stream-floor", type=float, default=1.5,
                         help="hard minimum incremental speedup")
     parser.add_argument("--stream-tolerance", type=float, default=0.75,
                         help="min fresh/committed stream-speedup ratio")
     parser.add_argument("files", nargs="*",
                         default=sorted(EXPECTED_SCHEMA),
-                        help="file names to check (default: all five)")
+                        help="file names to check (default: all four)")
     args = parser.parse_args()
 
     summaries = []
@@ -228,11 +184,7 @@ def main():
             validate_envelope(name, fresh, EXPECTED_SCHEMA[name])
             if args.skip_regression:
                 continue
-            if name == "BENCH_ensemble.json":
-                baseline = load(f"{args.baseline_dir}/{name}")
-                summaries.append(check_ensemble(fresh, baseline,
-                                                args.scaling_floor))
-            elif name == "BENCH_stream.json":
+            if name == "BENCH_stream.json":
                 baseline = load(f"{args.baseline_dir}/{name}")
                 summaries.append(check_stream(fresh, baseline,
                                               args.stream_floor,

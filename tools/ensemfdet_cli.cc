@@ -93,6 +93,17 @@ class Flags {
   int GetInt(const std::string& key, int fallback) {
     return GetNumber(key, fallback, "an integer");
   }
+  /// An integer flag that must be >= `min` (0 or 1) when given; a smaller
+  /// value is a usage error naming the flag, like one that does not parse.
+  int GetIntAtLeast(const std::string& key, int fallback, int min) {
+    const int value = GetInt(key, fallback);
+    if (Has(key) && value < min) {
+      DieExpected(key, min > 0 ? "a positive integer"
+                               : "a non-negative integer",
+                  values_.at(key));
+    }
+    return value;
+  }
   double GetDouble(const std::string& key, double fallback) {
     return GetNumber(key, fallback, "a number");
   }
@@ -138,12 +149,16 @@ class Flags {
     if constexpr (std::is_floating_point_v<T>) {
       ok = ok && std::isfinite(value);
     }
-    if (!ok) {
-      std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", key.c_str(),
-                   expected, v.c_str());
-      std::exit(2);
-    }
+    if (!ok) DieExpected(key, expected, v);
     return value;
+  }
+
+  [[noreturn]] static void DieExpected(const std::string& key,
+                                       const char* expected,
+                                       const std::string& got) {
+    std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", key.c_str(),
+                 expected, got.c_str());
+    std::exit(2);
   }
 
   std::map<std::string, std::string> values_;
@@ -175,14 +190,14 @@ int Usage() {
       "               [--skip-batches=0] [--wal=DIR]\n"
       "               [--fsync=none|batch|always] [--recover]\n"
       "  bench-smoke  [--scale=0.004] [--seed=7] [--threads=0]\n"
-      "  bench-report [--scale=0.02] [--seed=7] [--repeats=5] [--n=16]\n"
-      "               [--s=0.1] [--threads=0] [--out-dir=.]\n"
+      "  bench-report [--scale=0.02] [--repeats=5] [--out-dir=.]\n"
       "  metrics-dump [--scale=0.004] [--seed=7] [--threads=0]\n"
       "               [--out-a=FILE] [--out-b=FILE] [--workdir=DIR]\n"
       "  trace-report [--trace=FILE] [--metrics=FILE.json] [--flight=FILE]\n"
       "               [--top=12]\n"
       "\n"
-      "observability: every command takes\n"
+      "observability: every command takes (the scrape and the timeline\n"
+      "are written only when the command succeeds)\n"
       "  --metrics-out=FILE   scrape the global metrics registry on exit\n"
       "                       (*.json -> JSON, anything else -> Prometheus\n"
       "                       text); metrics-dump runs a mini end-to-end\n"
@@ -201,8 +216,8 @@ int Usage() {
       "                       process death (even SIGKILL); inspect with\n"
       "                       trace-report --flight=FILE (warns and runs\n"
       "                       without it when metrics are compiled out;\n"
-      "                       not on bench-*, whose obs bench installs\n"
-      "                       its own recorder)\n"
+      "                       not on bench-report, whose obs bench\n"
+      "                       installs its own recorder)\n"
       "\n"
       "trace-report reads those artifacts back: per-stage self-time\n"
       "  rollups and the critical path per traced job (--trace), histogram\n"
@@ -218,6 +233,8 @@ int Usage() {
       "                       --resume=FILE), replay the WAL suffix, and\n"
       "                       finish the replay — stdout is bit-identical\n"
       "                       to the uninterrupted run\n"
+      "\n"
+      "counts: --threads >= 0 (0 = hardware), --top >= 0, --t >= 1\n"
       "\n"
       "exit codes: 0 ok; 2 usage (bad flags / InvalidArgument / NotFound);\n"
       "            1 runtime failure (IO, corrupt input, detection error)\n");
@@ -285,7 +302,9 @@ Result<JdPreset> ParsePreset(const std::string& name) {
                           "' (want dataset1|dataset2|dataset3)");
 }
 
-ThreadPool* PoolFromFlag(int threads) {
+// --threads: the pool width, 0 (the default) for the hardware-wide pool.
+ThreadPool* PoolFromFlags(Flags& flags) {
+  const int threads = flags.GetIntAtLeast("threads", 0, 0);
   static std::optional<ThreadPool> owned;
   if (threads > 0) {
     owned.emplace(threads);
@@ -325,9 +344,9 @@ Status WriteMetricsSnapshot(const std::string& path) {
   return Status::OK();
 }
 
-// End-of-command observability epilogue, shared by detect / evaluate /
-// stream-replay / metrics-dump: honor --metrics-out, and flush the trace
-// timeline when ENSEMFDET_TRACE=1 collected any events.
+// End-of-command observability epilogue, run by main after any command
+// that succeeded: honor --metrics-out, and flush the trace timeline when
+// ENSEMFDET_TRACE=1 collected any events.
 int FinishObservability(const std::string& metrics_out,
                         const std::string& trace_out) {
   if (!metrics_out.empty()) {
@@ -345,8 +364,9 @@ int FinishObservability(const std::string& metrics_out,
 }
 
 // --flight-recorder=FILE: map the always-on crash black box for this
-// process. Consumed by every workload command; warns and continues when
-// metrics are compiled out so the flag is safe in metrics-off CI legs.
+// process. Read by main for every command but bench-report; warns and
+// continues when metrics are compiled out so the flag is safe in
+// metrics-off CI legs.
 int MaybeInstallFlightRecorder(Flags& flags) {
   const std::string path = flags.GetString("flight-recorder", "");
   if (path.empty()) return 0;
@@ -380,6 +400,12 @@ EnsemFDetConfig EnsembleFromFlags(Flags& flags) {
   return config;
 }
 
+// The vote-acceptance threshold T: `t_flag` (--t, read with fallback 0)
+// when given, else N/10 and at least 1.
+int VoteThreshold(int t_flag, int num_samples) {
+  return t_flag > 0 ? t_flag : std::max(1, num_samples / 10);
+}
+
 // ---------------------------------------------------------------------------
 // generate
 // ---------------------------------------------------------------------------
@@ -389,11 +415,6 @@ int CmdGenerate(Flags& flags) {
   const std::string preset_name = flags.GetString("preset", "dataset1");
   const double scale = flags.GetDouble("scale", 0.01);
   const uint64_t seed = flags.GetUint64("seed", 7);
-  const std::string metrics_out = flags.GetString("metrics-out", "");
-  const std::string trace_out =
-      flags.GetString("trace-out", "ensemfdet_trace.json");
-  const int fr = MaybeInstallFlightRecorder(flags);
-  if (fr != 0) return fr;
   flags.DieOnUnknown();
   if (out.empty()) {
     std::fprintf(stderr, "error: generate requires --out=FILE\n");
@@ -419,7 +440,7 @@ int CmdGenerate(Flags& flags) {
     if (!st.ok()) return FailWith(st);
     std::fprintf(stderr, "[generate] blacklist -> %s\n", labels_path.c_str());
   }
-  return FinishObservability(metrics_out, trace_out);
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -508,20 +529,15 @@ int RunDetectJobs(Flags& flags, DetectionService& service, DetectRun* run) {
 
 int CmdDetect(Flags& flags) {
   GraphRegistry registry;
-  ThreadPool* pool = PoolFromFlag(flags.GetInt("threads", 0));
+  ThreadPool* pool = PoolFromFlags(flags);
   DetectionService service(&registry, pool);
 
   DetectRun run;
   // Read flags consumed below before DieOnUnknown fires inside helpers.
-  const int t_flag = flags.GetInt("t", -1);
-  const int top = flags.GetInt("top", 25);
-  const std::string metrics_out = flags.GetString("metrics-out", "");
-  const std::string trace_out =
-      flags.GetString("trace-out", "ensemfdet_trace.json");
-  int rc = MaybeInstallFlightRecorder(flags);
-  if (rc != 0) return rc;
+  const int t_flag = flags.GetIntAtLeast("t", 0, 1);
+  const int top = flags.GetIntAtLeast("top", 25, 0);
   GraphSnapshot snapshot;
-  rc = LoadAndPublishGraph(flags, registry, &snapshot);
+  int rc = LoadAndPublishGraph(flags, registry, &snapshot);
   if (rc == 0) rc = RunDetectJobs(flags, service, &run);
   // Only typo-check flags on the success path: after a failure, flags the
   // aborted stage never consumed would be misreported as unknown.
@@ -529,8 +545,7 @@ int CmdDetect(Flags& flags) {
   flags.DieOnUnknown();
 
   if (run.detector == DetectorKind::kEnsemFDet) {
-    const int threshold =
-        t_flag > 0 ? t_flag : std::max(1, run.config.num_samples / 10);
+    const int threshold = VoteThreshold(t_flag, run.config.num_samples);
     auto suspicious = run.result->report->AcceptedUsers(threshold);
     std::fprintf(stderr, "[detect] N=%d S=%.3f T=%d -> %zu suspicious users\n",
                  run.config.num_samples, run.config.ratio, threshold,
@@ -552,7 +567,7 @@ int CmdDetect(Flags& flags) {
       std::printf("%u\t%.6g\n", order[i], scores[order[i]]);
     }
   }
-  return FinishObservability(metrics_out, trace_out);
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -567,11 +582,6 @@ int CmdSaveGraph(Flags& flags) {
     std::fprintf(stderr, "error: save-graph requires --out=FILE.efg\n");
     return 2;
   }
-  const std::string metrics_out = flags.GetString("metrics-out", "");
-  const std::string trace_out =
-      flags.GetString("trace-out", "ensemfdet_trace.json");
-  const int fr = MaybeInstallFlightRecorder(flags);
-  if (fr != 0) return fr;
   GraphRegistry registry;
   GraphSnapshot snapshot;
   int rc = LoadAndPublishGraph(flags, registry, &snapshot);
@@ -599,7 +609,7 @@ int CmdSaveGraph(Flags& flags) {
                "(mmap round-trip verified)\n",
                out.c_str(), (long long)snapshot.csr->num_edges(),
                (unsigned long long)snapshot.fingerprint);
-  return FinishObservability(metrics_out, trace_out);
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -607,21 +617,16 @@ int CmdSaveGraph(Flags& flags) {
 // ---------------------------------------------------------------------------
 int CmdEvaluate(Flags& flags) {
   GraphRegistry registry;
-  ThreadPool* pool = PoolFromFlag(flags.GetInt("threads", 0));
+  ThreadPool* pool = PoolFromFlags(flags);
   DetectionService service(&registry, pool);
 
   const std::string labels_path = flags.GetString("labels", "");
-  const int t_flag = flags.GetInt("t", -1);
+  const int t_flag = flags.GetIntAtLeast("t", 0, 1);
   const bool print_curve = flags.GetBool("curve", false);
-  const std::string metrics_out = flags.GetString("metrics-out", "");
-  const std::string trace_out =
-      flags.GetString("trace-out", "ensemfdet_trace.json");
   if (labels_path.empty()) {
     std::fprintf(stderr, "error: evaluate requires --labels=FILE\n");
     return 2;
   }
-  int fr = MaybeInstallFlightRecorder(flags);
-  if (fr != 0) return fr;
 
   // Load the graph and validate the labels *before* detection: a bad
   // --labels path must not cost a full ensemble run.
@@ -643,8 +648,7 @@ int CmdEvaluate(Flags& flags) {
   if (rc != 0) return rc;
   flags.DieOnUnknown();
 
-  const int threshold =
-      t_flag > 0 ? t_flag : std::max(1, run.config.num_samples / 10);
+  const int threshold = VoteThreshold(t_flag, run.config.num_samples);
   auto detected = run.result->report->AcceptedUsers(threshold);
   Confusion c = CountConfusion(detected, *labels);
   auto curve = VoteSweep(run.result->report->votes, *labels,
@@ -662,7 +666,7 @@ int CmdEvaluate(Flags& flags) {
                   (long long)p.num_detected, p.precision, p.recall, p.f1);
     }
   }
-  return FinishObservability(metrics_out, trace_out);
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -681,7 +685,7 @@ int CmdEvaluate(Flags& flags) {
 int CmdBenchSmoke(Flags& flags) {
   const double scale = flags.GetDouble("scale", 0.004);
   const uint64_t seed = flags.GetUint64("seed", 7);
-  ThreadPool* pool = PoolFromFlag(flags.GetInt("threads", 0));
+  ThreadPool* pool = PoolFromFlags(flags);
   flags.DieOnUnknown();
 
   WallTimer total;
@@ -779,7 +783,7 @@ int CmdStreamReplay(Flags& flags) {
   const int64_t window = flags.GetInt("window", 14400);
   const int64_t interval = flags.GetInt("interval", 1200);
   const int batch_events = flags.GetInt("batch", 256);
-  const int t_flag = flags.GetInt("t", -1);
+  const int t_flag = flags.GetIntAtLeast("t", 0, 1);
   const std::string register_name = flags.GetString("register", "stream");
   // Checkpoint/resume: --checkpoint saves the session's window state
   // (after --stop-after-batches batches, or at stream end); --resume
@@ -801,10 +805,7 @@ int CmdStreamReplay(Flags& flags) {
   const std::string wal_dir = flags.GetString("wal", "");
   const std::string fsync_name = flags.GetString("fsync", "batch");
   const bool recover = flags.GetBool("recover", false);
-  const std::string metrics_out = flags.GetString("metrics-out", "");
-  const std::string trace_out =
-      flags.GetString("trace-out", "ensemfdet_trace.json");
-  ThreadPool* pool = PoolFromFlag(flags.GetInt("threads", 0));
+  ThreadPool* pool = PoolFromFlags(flags);
   if (stop_after > 0 && checkpoint_path.empty()) {
     std::fprintf(stderr,
                  "error: --stop-after-batches requires --checkpoint\n");
@@ -845,8 +846,6 @@ int CmdStreamReplay(Flags& flags) {
       flags.GetInt("min-component-edges", 1);
   session.detector.ensemble = EnsembleFromFlags(flags);
   session.publish_name = register_name;
-  const int fr = MaybeInstallFlightRecorder(flags);
-  if (fr != 0) return fr;
   flags.DieOnUnknown();
 
   auto preset = ParsePreset(preset_name);
@@ -941,7 +940,7 @@ int CmdStreamReplay(Flags& flags) {
                    "with --resume=%s --skip-batches=%lld\n",
                    (long long)stop_after, checkpoint_path.c_str(),
                    (long long)stop_after);
-      return FinishObservability(metrics_out, trace_out);
+      return 0;
     }
   }
   auto final_state = service.FinishStream(*stream);
@@ -971,8 +970,7 @@ int CmdStreamReplay(Flags& flags) {
   PrintCacheStats(service);
 
   const EnsemFDetConfig& ensemble = session.detector.ensemble;
-  const int threshold =
-      t_flag > 0 ? t_flag : std::max(1, ensemble.num_samples / 10);
+  const int threshold = VoteThreshold(t_flag, ensemble.num_samples);
   auto suspicious = final_state->report->AcceptedUsers(threshold);
   std::fprintf(stderr,
                "[stream-replay] final window: N=%d S=%.3f T=%d -> %zu "
@@ -980,7 +978,7 @@ int CmdStreamReplay(Flags& flags) {
                ensemble.num_samples, ensemble.ratio, threshold,
                suspicious.size());
   for (UserId u : suspicious) std::printf("%u\n", u);
-  return FinishObservability(metrics_out, trace_out);
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -996,13 +994,11 @@ int CmdMetricsDump(Flags& flags) {
   const uint64_t seed = flags.GetUint64("seed", 7);
   const std::string out_a = flags.GetString("out-a", "");
   const std::string out_b = flags.GetString("out-b", "");
-  const std::string metrics_out = flags.GetString("metrics-out", "");
-  const std::string trace_out =
-      flags.GetString("trace-out", "ensemfdet_trace.json");
+  // main writes the --metrics-out scrape; this command only needs to know
+  // whether one was asked for.
+  const bool has_metrics_out = !flags.GetString("metrics-out", "").empty();
   std::string workdir = flags.GetString("workdir", "");
-  ThreadPool* pool = PoolFromFlag(flags.GetInt("threads", 0));
-  const int fr = MaybeInstallFlightRecorder(flags);
-  if (fr != 0) return fr;
+  ThreadPool* pool = PoolFromFlags(flags);
   flags.DieOnUnknown();
   if (workdir.empty()) {
     std::error_code ec;
@@ -1096,7 +1092,7 @@ int CmdMetricsDump(Flags& flags) {
     st = WriteMetricsSnapshot(out_b);
     if (!st.ok()) return FailWith(st);
   }
-  if (out_a.empty() && out_b.empty() && metrics_out.empty()) {
+  if (out_a.empty() && out_b.empty() && !has_metrics_out) {
     // No destination requested: dump the final scrape to stdout.
     std::fputs(
         obs::ToPrometheusText(obs::MetricsRegistry::Global().Scrape())
@@ -1109,7 +1105,7 @@ int CmdMetricsDump(Flags& flags) {
                (long long)final_state->events_ingested,
                (unsigned long long)final_state->reports_generated,
                obs::kMetricsCompiledIn ? "compiled in" : "compiled OUT");
-  return FinishObservability(metrics_out, trace_out);
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -1159,7 +1155,7 @@ int CmdTraceReport(Flags& flags) {
   const std::string trace_path = flags.GetString("trace", "");
   const std::string metrics_path = flags.GetString("metrics", "");
   const std::string flight_path = flags.GetString("flight", "");
-  const int top = flags.GetInt("top", 12);
+  const int top = flags.GetIntAtLeast("top", 12, 0);
   flags.DieOnUnknown();
   if (trace_path.empty() && metrics_path.empty() && flight_path.empty()) {
     std::fprintf(stderr,
@@ -1366,127 +1362,17 @@ int CmdTraceReport(Flags& flags) {
 }
 
 // ---------------------------------------------------------------------------
-// bench-report: emit the BENCH_{ensemble,stream,storage,obs,wal}.json perf
-// baselines (bench/README.md documents the schemas; CI validates and
-// uploads them). The measurements live in bench/perf_harness.cc.
+// bench-report: emit the BENCH_{stream,storage,obs,wal}.json perf baselines
+// (bench/README.md documents the schemas; CI validates and uploads them).
+// The measurements live in bench/perf_harness.cc.
 // ---------------------------------------------------------------------------
 int CmdBenchReport(Flags& flags) {
-  bench::PerfGraphSpec graph_spec;
-  graph_spec.scale = flags.GetDouble("scale", 0.02);
-  graph_spec.seed = flags.GetUint64("seed", 7);
+  const double scale = flags.GetDouble("scale", 0.02);
   const int repeats = flags.GetInt("repeats", 5);
   const std::string out_dir = flags.GetString("out-dir", ".");
-
-  bench::EnsembleBenchOptions ensemble;
-  ensemble.graph = graph_spec;
-  ensemble.repeats = std::max(1, repeats / 2);
-  ensemble.num_samples = flags.GetInt("n", 16);
-  ensemble.ratio = flags.GetDouble("s", 0.1);
-  ensemble.threads = flags.GetInt("threads", 0);
-  const std::string metrics_out = flags.GetString("metrics-out", "");
-  const std::string trace_out =
-      flags.GetString("trace-out", "ensemfdet_trace.json");
   flags.DieOnUnknown();
-
-  // Create the destination up front: an unwritable --out-dir must fail
-  // before the (slow) measurements run, not after.
-  std::error_code ec;
-  std::filesystem::create_directories(out_dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "error: cannot create --out-dir=%s: %s\n",
-                 out_dir.c_str(), ec.message().c_str());
-    return 1;
-  }
-
-  bench::StreamBenchOptions stream;
-  stream.seed = graph_spec.seed;
-  stream.repeats = std::max(1, repeats / 2);
-
-  bench::StorageBenchOptions storage_options;
-  storage_options.graph = graph_spec;
-  storage_options.repeats = repeats;
-
-  bench::ObsBenchOptions obs_options;
-  obs_options.graph = graph_spec;
-  obs_options.repeats = std::max(repeats, 12);
-  obs_options.num_samples = ensemble.num_samples;
-  obs_options.ratio = ensemble.ratio;
-
-  bench::WalBenchOptions wal_options;
-  wal_options.seed = graph_spec.seed;
-  wal_options.repeats = std::max(1, repeats / 2);
-
-  bench::EnsembleBenchSummary ensemble_summary;
-  bench::StreamBenchSummary stream_summary;
-  bench::StorageBenchSummary storage_summary;
-  bench::ObsBenchSummary obs_summary;
-  bench::WalBenchSummary wal_summary;
-  struct Report {
-    const char* file;
-    Result<std::string> json;
-  } reports[] = {
-      {"BENCH_ensemble.json",
-       bench::RunEnsembleBench(ensemble, &ensemble_summary)},
-      {"BENCH_stream.json", bench::RunStreamBench(stream, &stream_summary)},
-      {"BENCH_storage.json",
-       bench::RunStorageBench(storage_options, &storage_summary)},
-      {"BENCH_obs.json", bench::RunObsBench(obs_options, &obs_summary)},
-      {"BENCH_wal.json", bench::RunWalBench(wal_options, &wal_summary)},
-  };
-  for (Report& report : reports) {
-    if (!report.json.ok()) {
-      std::fprintf(stderr, "error: %s failed\n", report.file);
-      return FailWith(report.json.status());
-    }
-    const std::string path = out_dir + "/" + report.file;
-    Status st = bench::WriteTextFile(path, *report.json);
-    if (!st.ok()) return FailWith(st);
-    std::fprintf(stderr, "[bench-report] wrote %s\n", path.c_str());
-  }
-  std::fprintf(stderr,
-               "[bench-report] ensemble %.0f members/s, %.2fx at %d threads "
-               "vs 1 (vote parity across pool widths verified)\n",
-               ensemble_summary.members_per_second,
-               ensemble_summary.parallel_speedup,
-               ensemble_summary.parallel_wide_threads);
-  std::fprintf(stderr,
-               "[bench-report] ensemble arena reuse: %lld allocations "
-               "across a warm run (%.3g per member; 0 == perfect reuse)\n",
-               static_cast<long long>(ensemble_summary.arena_grow_events),
-               ensemble_summary.arena_grow_per_member);
-  std::fprintf(stderr,
-               "[bench-report] stream incremental vs full-rebuild: %.2fx "
-               "(%.0f vs %.0f events/s, %.0f%% component reuse, vote "
-               "parity verified at %lld boundaries)\n",
-               stream_summary.incremental_speedup,
-               stream_summary.events_per_second_incremental,
-               stream_summary.events_per_second_full_rebuild,
-               100.0 * stream_summary.component_reuse_fraction,
-               static_cast<long long>(stream_summary.detections));
-  std::fprintf(stderr,
-               "[bench-report] storage mmap load vs TSV parse: %.1fx "
-               "verified (%.1fx streaming read; %.0f KiB efg vs %.0f KiB "
-               "tsv, fingerprints verified)\n",
-               storage_summary.mmap_verified_speedup_vs_tsv,
-               storage_summary.binary_read_speedup_vs_tsv,
-               storage_summary.efg_bytes / 1024.0,
-               storage_summary.tsv_bytes / 1024.0);
-  std::fprintf(stderr,
-               "[bench-report] observability overhead: %.3g%% metrics-on vs "
-               "metrics-off (budget 2%%; counter %.3g ns/inc, histogram "
-               "%.3g ns/rec, span+flight %.3g ns/span, report parity "
-               "verified)\n",
-               100.0 * obs_summary.overhead_fraction,
-               obs_summary.counter_ns_per_increment,
-               obs_summary.histogram_ns_per_record,
-               obs_summary.span_ns_per_record);
-  std::fprintf(stderr,
-               "[bench-report] wal acked events/s: %.0f none, %.0f batch, "
-               "%.0f always (replay parity verified)\n",
-               wal_summary.acked_events_per_second_none,
-               wal_summary.acked_events_per_second_batch,
-               wal_summary.acked_events_per_second_always);
-  return FinishObservability(metrics_out, trace_out);
+  Status st = bench::WriteBenchReport(scale, repeats, out_dir);
+  return st.ok() ? 0 : FailWith(st);
 }
 
 }  // namespace
@@ -1495,16 +1381,31 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   Flags flags(argc - 2, argv + 2);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "detect") return CmdDetect(flags);
-  if (command == "evaluate") return CmdEvaluate(flags);
-  if (command == "save-graph") return CmdSaveGraph(flags);
-  if (command == "stream-replay") return CmdStreamReplay(flags);
-  if (command == "bench-smoke") return CmdBenchSmoke(flags);
-  if (command == "bench-report") return CmdBenchReport(flags);
-  if (command == "metrics-dump") return CmdMetricsDump(flags);
-  if (command == "trace-report") return CmdTraceReport(flags);
-  if (command == "help" || command == "--help") return Usage();
-  std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
-  return Usage();
+  const std::map<std::string, int (*)(Flags&)> commands = {
+      {"generate", CmdGenerate},
+      {"detect", CmdDetect},
+      {"evaluate", CmdEvaluate},
+      {"save-graph", CmdSaveGraph},
+      {"stream-replay", CmdStreamReplay},
+      {"bench-smoke", CmdBenchSmoke},
+      {"bench-report", CmdBenchReport},
+      {"metrics-dump", CmdMetricsDump},
+      {"trace-report", CmdTraceReport},
+  };
+  const auto it = commands.find(command);
+  if (it == commands.end()) {
+    if (command == "help" || command == "--help") return Usage();
+    std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
+    return Usage();
+  }
+  // The observability flags every command takes.
+  const std::string metrics_out = flags.GetString("metrics-out", "");
+  const std::string trace_out =
+      flags.GetString("trace-out", "ensemfdet_trace.json");
+  if (command != "bench-report") {  // its obs bench installs its own
+    const int rc = MaybeInstallFlightRecorder(flags);
+    if (rc != 0) return rc;
+  }
+  const int rc = it->second(flags);
+  return rc != 0 ? rc : FinishObservability(metrics_out, trace_out);
 }
