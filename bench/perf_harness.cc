@@ -266,8 +266,8 @@ Result<std::string> RunStorageBench(const BipartiteGraph& graph,
 // never perturb results — and fails with Internal, refusing to emit, on
 // any divergence. The enabled-vs-disabled overhead is CI-gated at 2% by
 // tools/check_bench.py. More repeats than the other benches: the gated
-// quantity is a small difference between two timings, so the min needs
-// extra samples to shake scheduler noise out.
+// quantity is a small difference between two timings, so its median over
+// the on/off pairs needs extra pairs to shake scheduler noise out.
 Result<std::string> RunObsBench(const CsrGraph& csr, double scale,
                                 int requested_repeats) {
   EnsemFDetConfig config;
@@ -330,15 +330,20 @@ Result<std::string> RunObsBench(const CsrGraph& csr, double scale,
   // and the frequency governor are warmer), and a fixed order would fold
   // that position bias straight into the on-vs-off difference. Alternating
   // puts both arms in each position equally often so the bias cancels out
-  // of the per-arm minima — which also requires an EVEN repeat count, so
-  // an odd request is rounded up rather than leaving one arm with an
-  // extra turn in the fast slot.
+  // — which also requires an EVEN repeat count, so an odd request is
+  // rounded up rather than leaving one arm with an extra turn in the fast
+  // slot. The gated fraction is the MEDIAN over the pairs of
+  // (on_i − off_i) / off_i: each pair's two runs share one stretch of
+  // host noise, and the median ignores the few pairs a noise burst splits,
+  // where a difference of per-arm minima swings with whichever arm caught
+  // the single luckiest run.
   const int repeats = requested_repeats + (requested_repeats % 2);
   Timing on_timing, off_timing;
   on_timing.name = "ensemble_run_metrics_on";
   off_timing.name = "ensemble_run_metrics_off";
   on_timing.repeats = off_timing.repeats = repeats;
   double on_total = 0.0, off_total = 0.0;
+  std::vector<double> pair_fractions;
   const auto timed_run = [&](bool metrics_on) {
     obs::SetMetricsRuntimeEnabled(metrics_on);
     WallTimer timer;
@@ -358,6 +363,7 @@ Result<std::string> RunObsBench(const CsrGraph& csr, double scale,
     off_timing.seconds_min = std::min(off_timing.seconds_min, off_s);
     on_total += on_s;
     off_total += off_s;
+    pair_fractions.push_back(off_s > 0 ? (on_s - off_s) / off_s : 0.0);
   }
   obs::SetMetricsRuntimeEnabled(true);
   on_timing.seconds_mean = on_total / repeats;
@@ -390,10 +396,11 @@ Result<std::string> RunObsBench(const CsrGraph& csr, double scale,
     }
   }));
 
-  const double seconds_on = timings[0].seconds_min;
-  const double seconds_off = timings[1].seconds_min;
+  // Median of an even count: the mean of the two middle pairs.
+  std::sort(pair_fractions.begin(), pair_fractions.end());
+  const size_t mid = pair_fractions.size() / 2;
   const double overhead_fraction =
-      seconds_off > 0 ? (seconds_on - seconds_off) / seconds_off : 0.0;
+      0.5 * (pair_fractions[mid - 1] + pair_fractions[mid]);
   const double budget = 0.02;
   const bool within_budget = overhead_fraction <= budget;
   const double counter_ns =

@@ -190,8 +190,8 @@ inline constexpr int64_t kMaxViewEdges =
 /// the parent graph, save one 32-bit word per parent merchant. Buffers
 /// grow to the largest view served and never shrink; `grow_events` counts
 /// growths, so a warm arena reused across many peels reports zero further
-/// allocations — the number the ensemble bench surfaces as
-/// `arena.grow_events`.
+/// allocations — summed into each member's `arena_grow_events`
+/// (ensemble/ensemfdet.h).
 ///
 /// Invariants between uses (established on fresh storage and restored by
 /// every peel / view build): `user_degree`, `merchant_degree`, `gone`,

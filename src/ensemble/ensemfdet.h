@@ -79,8 +79,8 @@ struct EnsemFDetReport {
     int num_blocks = 0;       ///< k̂ for this member
     double seconds = 0.0;     ///< sample + FDET wall time of this member
     /// Worker-arena buffer growths while this member ran (zero-mat path
-    /// only; 0 once the worker's arena is warm — the reuse counter the
-    /// ensemble bench sums into `arena.grow_events`).
+    /// only; 0 once the worker's arena is warm — the reuse counter
+    /// EnsembleParityTest.ArenaIsWarmAfterFirstMembers pins).
     int64_t arena_grow_events = 0;
   };
   std::vector<MemberStats> members;

@@ -66,6 +66,8 @@ class BipartiteGraph {
     return weights_.empty() ? 1.0 : weights_[static_cast<size_t>(e)];
   }
   bool has_weights() const { return !weights_.empty(); }
+  /// Raw weight array (empty when unweighted); indexed by EdgeId.
+  std::span<const double> weights() const { return weights_; }
 
   /// Ids of edges incident to user u, ascending by merchant id.
   /// @pre u < num_users(). The span stays valid for the graph's lifetime.

@@ -87,66 +87,72 @@ CsrGraph& CsrGraph::operator=(CsrGraph&& other) noexcept {
   return *this;
 }
 
-CsrGraph CsrGraph::FromBipartite(const BipartiteGraph& graph) {
+CsrGraph CsrGraph::FromCanonicalEdges(int64_t num_users,
+                                      int64_t num_merchants,
+                                      std::span<const Edge> edges,
+                                      std::span<const double> weights) {
+  ENSEMFDET_DCHECK(num_users >= 0 && num_merchants >= 0);
+  ENSEMFDET_DCHECK(weights.empty() || weights.size() == edges.size());
   CsrGraph g;
-  g.num_users_ = graph.num_users();
-  g.num_merchants_ = graph.num_merchants();
-  const int64_t num_edges = graph.num_edges();
-  auto edges = graph.edges();
+  g.num_users_ = num_users;
+  g.num_merchants_ = num_merchants;
+  const size_t num_edges = edges.size();
   Owned& o = g.owned_;
 
-  // User side: edges are already grouped by user in ascending merchant
-  // order (GraphBuilder's canonical order), so the neighbor array is the
-  // merchant column of the edge array and slot == EdgeId.
-  o.user_offsets.assign(static_cast<size_t>(g.num_users_) + 1, 0);
-  o.user_neighbors.resize(static_cast<size_t>(num_edges));
-  o.edge_users.resize(static_cast<size_t>(num_edges));
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    const Edge& edge = edges[static_cast<size_t>(e)];
-    ENSEMFDET_DCHECK(e == 0 ||
-                     edges[static_cast<size_t>(e) - 1].user < edge.user ||
-                     (edges[static_cast<size_t>(e) - 1].user == edge.user &&
-                      edges[static_cast<size_t>(e) - 1].merchant <
-                          edge.merchant))
-        << "edge ids are not in canonical (user, merchant) order";
+  // User side: canonical edges are grouped by user in ascending merchant
+  // order, so the neighbor array is the merchant column of the edge list
+  // and slot == EdgeId. The same pass counts the merchant degrees.
+  o.user_offsets.assign(static_cast<size_t>(num_users) + 1, 0);
+  o.merchant_offsets.assign(static_cast<size_t>(num_merchants) + 1, 0);
+  o.user_neighbors.resize(num_edges);
+  o.edge_users.resize(num_edges);
+  for (size_t e = 0; e < num_edges; ++e) {
+    const Edge& edge = edges[e];
+    ENSEMFDET_DCHECK(edge.user < num_users && edge.merchant < num_merchants)
+        << "edge (" << edge.user << ", " << edge.merchant
+        << ") outside the node counts";
+    ENSEMFDET_DCHECK(e == 0 || edges[e - 1].user < edge.user ||
+                     (edges[e - 1].user == edge.user &&
+                      edges[e - 1].merchant < edge.merchant))
+        << "edges are not in strictly ascending (user, merchant) order";
     ++o.user_offsets[edge.user + 1];
-    o.user_neighbors[static_cast<size_t>(e)] = edge.merchant;
-    o.edge_users[static_cast<size_t>(e)] = edge.user;
+    ++o.merchant_offsets[edge.merchant + 1];
+    o.user_neighbors[e] = edge.merchant;
+    o.edge_users[e] = edge.user;
   }
-  for (int64_t u = 0; u < g.num_users_; ++u) {
+  for (int64_t u = 0; u < num_users; ++u) {
     o.user_offsets[static_cast<size_t>(u) + 1] +=
         o.user_offsets[static_cast<size_t>(u)];
+  }
+  for (int64_t v = 0; v < num_merchants; ++v) {
+    o.merchant_offsets[static_cast<size_t>(v) + 1] +=
+        o.merchant_offsets[static_cast<size_t>(v)];
   }
 
   // Merchant side: counting sort by merchant; within a merchant, edge ids
   // arrive ascending, which is ascending user order.
-  o.merchant_offsets.assign(static_cast<size_t>(g.num_merchants_) + 1, 0);
-  for (const Edge& edge : edges) ++o.merchant_offsets[edge.merchant + 1];
-  for (int64_t v = 0; v < g.num_merchants_; ++v) {
-    o.merchant_offsets[static_cast<size_t>(v) + 1] +=
-        o.merchant_offsets[static_cast<size_t>(v)];
-  }
-  o.merchant_neighbors.resize(static_cast<size_t>(num_edges));
-  o.merchant_edge_ids.resize(static_cast<size_t>(num_edges));
+  o.merchant_neighbors.resize(num_edges);
+  o.merchant_edge_ids.resize(num_edges);
   {
     std::vector<int64_t> cursor(o.merchant_offsets.begin(),
                                 o.merchant_offsets.end() - 1);
-    for (EdgeId e = 0; e < num_edges; ++e) {
-      const Edge& edge = edges[static_cast<size_t>(e)];
+    for (size_t e = 0; e < num_edges; ++e) {
+      const Edge& edge = edges[e];
       const int64_t slot = cursor[edge.merchant]++;
       o.merchant_neighbors[static_cast<size_t>(slot)] = edge.user;
-      o.merchant_edge_ids[static_cast<size_t>(slot)] = e;
+      o.merchant_edge_ids[static_cast<size_t>(slot)] =
+          static_cast<EdgeId>(e);
     }
   }
 
-  if (graph.has_weights()) {
-    o.weights.resize(static_cast<size_t>(num_edges));
-    for (EdgeId e = 0; e < num_edges; ++e) {
-      o.weights[static_cast<size_t>(e)] = graph.edge_weight(e);
-    }
-  }
+  o.weights.assign(weights.begin(), weights.end());
   g.BindOwned();
   return g;
+}
+
+CsrGraph CsrGraph::FromBipartite(const BipartiteGraph& graph) {
+  return FromCanonicalEdges(graph.num_users(), graph.num_merchants(),
+                            graph.edges(), graph.weights());
 }
 
 CsrGraph CsrGraph::WrapExternal(

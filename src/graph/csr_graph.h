@@ -23,12 +23,17 @@
 //
 // Storage model (since the snapshot subsystem, DESIGN.md §"Snapshot
 // format"): every accessor reads through spans, and a graph either *owns*
-// its arrays (FromBipartite — the spans alias internal vectors) or is a
-// *view* over externally owned memory (WrapExternal — e.g. a read-only
-// file mapping kept alive by `backing`). Copying an owning graph deep-
-// copies; copying a view is O(1) and shares the backing handle. Either
-// way the copy/move machinery keeps the spans pointing at storage the
-// destination object owns, so value semantics are preserved.
+// its arrays (FromCanonicalEdges, FromBipartite — the spans alias internal
+// vectors) or is a *view* over externally owned memory (WrapExternal —
+// e.g. a read-only file mapping kept alive by `backing`). Copying an
+// owning graph deep-copies; copying a view is O(1) and shares the backing
+// handle. Either way the copy/move machinery keeps the spans pointing at
+// storage the destination object owns, so value semantics are preserved.
+//
+// FromCanonicalEdges is the one place a CSR is assembled from an edge
+// list: FromBipartite forwards to it, and the ingest store, its published
+// versions and the streaming detector's component graphs call it directly
+// with edges they already hold in canonical order.
 //
 // Thread-safety: a CsrGraph is immutable after construction; any number of
 // threads may read one concurrently without synchronization. Per-job code
@@ -56,14 +61,24 @@ class CsrGraph {
   CsrGraph(CsrGraph&& other) noexcept;
   CsrGraph& operator=(CsrGraph&& other) noexcept;
 
-  /// Converts an adjacency-list graph to CSR form.
+  /// Builds a CSR from an edge list that is already canonical: strictly
+  /// ascending (user, merchant), so duplicate-free, with every id inside
+  /// the node counts (both checked in debug builds). Edge k of the list
+  /// becomes EdgeId k. `weights` is empty for an unweighted graph, else
+  /// one weight per edge in the same order.
+  /// Cost: O(|U| + |V| + |E|), two passes over the edge list.
+  static CsrGraph FromCanonicalEdges(int64_t num_users, int64_t num_merchants,
+                                     std::span<const Edge> edges,
+                                     std::span<const double> weights = {});
+
+  /// Converts an adjacency-list graph to CSR form (FromCanonicalEdges over
+  /// its edge and weight arrays).
   ///
   /// @pre `graph`'s edge ids are canonical — ascending (user, merchant) —
   ///      which every GraphBuilder-built graph satisfies (checked in debug
   ///      builds).
   /// @post `ToBipartite()` of the result reproduces `graph` exactly
   ///       (nodes, edge set, edge id order, weights).
-  /// Cost: O(|U| + |V| + |E|), one pass over the edge array.
   static CsrGraph FromBipartite(const BipartiteGraph& graph);
 
   /// Wraps externally owned CSR arrays as a zero-copy view. `backing`

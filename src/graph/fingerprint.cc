@@ -31,16 +31,8 @@ uint64_t FingerprintEdges(int64_t num_users, int64_t num_merchants,
 }
 
 uint64_t FingerprintGraph(const BipartiteGraph& graph) {
-  if (!graph.has_weights()) {
-    return FingerprintEdges(graph.num_users(), graph.num_merchants(),
-                            graph.edges());
-  }
-  std::vector<double> weights(static_cast<size_t>(graph.num_edges()));
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    weights[static_cast<size_t>(e)] = graph.edge_weight(e);
-  }
   return FingerprintEdges(graph.num_users(), graph.num_merchants(),
-                          graph.edges(), weights);
+                          graph.edges(), graph.weights());
 }
 
 uint64_t FingerprintGraph(const CsrGraph& graph) {

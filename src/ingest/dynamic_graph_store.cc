@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "graph/graph_builder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/snapshot_writer.h"
@@ -46,11 +45,8 @@ IngestMetrics& Metrics() {
 
 std::shared_ptr<const CsrGraph> EmptyBase(int64_t num_users,
                                           int64_t num_merchants) {
-  GraphBuilder builder(num_users, num_merchants);
-  Result<BipartiteGraph> built = builder.Build();
-  ENSEMFDET_CHECK(built.ok()) << built.status().ToString();
   return std::make_shared<const CsrGraph>(
-      CsrGraph::FromBipartite(*std::move(built)));
+      CsrGraph::FromCanonicalEdges(num_users, num_merchants, {}));
 }
 
 }  // namespace
@@ -169,21 +165,20 @@ Result<IngestStats> DynamicGraphStore::Apply(const IngestBatch& batch) {
 
 void DynamicGraphStore::Compact() {
   obs::TraceSpan span(Metrics().compact_seconds, "store_compact");
-  GraphBuilder builder(config_.num_users, config_.num_merchants);
-  builder.Reserve(live_edges());
-  // Packed keys sort as canonical (user, merchant) pairs.
+  // Packed keys sort as canonical (user, merchant) pairs; the multiplicity
+  // map holds each live edge once and every id was validated at ingest.
   std::vector<uint64_t> keys;
   keys.reserve(multiplicity_.size());
   for (const auto& [key, mult] : multiplicity_) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
+  std::vector<Edge> edges;
+  edges.reserve(keys.size());
   for (uint64_t key : keys) {
-    builder.AddEdge(static_cast<UserId>(key >> 32),
-                    static_cast<MerchantId>(key & 0xffffffffu));
+    edges.push_back({static_cast<UserId>(key >> 32),
+                     static_cast<MerchantId>(key & 0xffffffffu)});
   }
-  Result<BipartiteGraph> built = builder.Build(DuplicatePolicy::kKeepFirst);
-  ENSEMFDET_CHECK(built.ok()) << built.status().ToString();
-  base_ = std::make_shared<const CsrGraph>(
-      CsrGraph::FromBipartite(*std::move(built)));
+  base_ = std::make_shared<const CsrGraph>(CsrGraph::FromCanonicalEdges(
+      config_.num_users, config_.num_merchants, edges));
   added_.clear();
   dead_.clear();
   ++stats_.compactions;

@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "common/logging.h"
 #include "graph/fingerprint.h"
-#include "graph/graph_builder.h"
 #include "storage/snapshot_reader.h"
 #include "storage/snapshot_writer.h"
 
@@ -20,41 +18,44 @@ GraphVersion::GraphVersion() {
   rep_ = kEmpty;
 }
 
-uint64_t GraphVersion::ContentFingerprint() const {
+uint64_t GraphVersion::CollectLiveEdges(std::vector<Edge>* edges) const {
   const Rep& rep = *rep_;
+  edges->clear();
+  edges->reserve(static_cast<size_t>(num_edges()));
+  ForEachEdge([edges](UserId u, MerchantId v) { edges->push_back({u, v}); });
   {
     std::lock_guard<std::mutex> lock(rep.memo_mu);
     if (rep.memo_fingerprint_set) return rep.memo_fingerprint;
   }
-  // Assemble the canonical edge array outside the lock (pure read of the
-  // immutable delta structures) and hash it with the one shared recipe.
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<size_t>(num_edges()));
-  ForEachEdge([&edges](UserId u, MerchantId v) { edges.push_back({u, v}); });
+  // Hash outside the lock (a pure read of the collected edges) with the
+  // one shared recipe; a racing caller computes the same value.
   const uint64_t fp =
-      FingerprintEdges(rep.num_users, rep.num_merchants, edges);
+      FingerprintEdges(rep.num_users, rep.num_merchants, *edges);
   std::lock_guard<std::mutex> lock(rep.memo_mu);
   rep.memo_fingerprint = fp;
   rep.memo_fingerprint_set = true;
   return fp;
 }
 
-BipartiteGraph GraphVersion::Materialize() const {
-  GraphBuilder builder(rep_->num_users, rep_->num_merchants);
-  builder.Reserve(num_edges());
-  ForEachEdge([&builder](UserId u, MerchantId v) { builder.AddEdge(u, v); });
-  // The store validated every id at ingest and the merge emits distinct
-  // canonical edges, so Build cannot fail.
-  Result<BipartiteGraph> built = builder.Build(DuplicatePolicy::kKeepFirst);
-  ENSEMFDET_CHECK(built.ok()) << built.status().ToString();
-  return std::move(built).value();
+uint64_t GraphVersion::ContentFingerprint() const {
+  const Rep& rep = *rep_;
+  {
+    std::lock_guard<std::mutex> lock(rep.memo_mu);
+    if (rep.memo_fingerprint_set) return rep.memo_fingerprint;
+  }
+  std::vector<Edge> edges;
+  return CollectLiveEdges(&edges);
 }
 
 std::shared_ptr<const CsrGraph> GraphVersion::MaterializeCsr() const {
   const Rep& rep = *rep_;
   if (rep.adds.empty() && rep.dead.empty()) return rep.base;
+  // The merge emits distinct canonical edges whose ids the store validated
+  // at ingest: exactly FromCanonicalEdges' precondition.
+  std::vector<Edge> edges;
+  CollectLiveEdges(&edges);
   return std::make_shared<const CsrGraph>(
-      CsrGraph::FromBipartite(Materialize()));
+      CsrGraph::FromCanonicalEdges(rep.num_users, rep.num_merchants, edges));
 }
 
 Status GraphVersion::SaveSnapshot(const std::string& path) const {

@@ -18,11 +18,13 @@
 //  * `dead` is ascending, duplicate-free, and every entry is a valid base
 //    EdgeId. An edge is never in `adds` and resurrected from `dead` at
 //    once — re-adding an evicted base edge clears it from `dead` instead.
-//  * Iterating users ascending and, per user, merging the base row with
-//    the adds row yields the live edge set in canonical (user, merchant)
-//    order — exactly the edge-id order GraphBuilder::Build would assign,
-//    which is what makes ContentFingerprint() representation-independent.
-//    That merge (ForEachEdge) is the one way to read the live edges.
+//  * Walking the base edge ids ascending (they are canonical), skipping
+//    the dead ones, and merging the adds in by (user, merchant) yields the
+//    live edge set in canonical (user, merchant) order — the edge-id order
+//    of any built graph over the same edges, which is what makes
+//    ContentFingerprint() representation-independent. That merge
+//    (ForEachEdge) is the one way to read the live edges; it costs
+//    O(|E_base| + |adds|), independent of the node universe.
 //
 // Thread-safety: a GraphVersion is an immutable value (cheap shared-state
 // copies); any number of threads may iterate one concurrently. The lazy
@@ -81,58 +83,60 @@ class GraphVersion {
   }
 
   /// Visits every live edge in canonical (user, merchant) order — a linear
-  /// two-cursor merge of the base rows (skipping dead slots) with the adds
-  /// rows. O(num_edges + |dead|). `fn(UserId, MerchantId)`.
+  /// two-cursor merge of the base edge ids (skipping dead ones) with the
+  /// adds. O(|E_base| + |adds|): the node universe is never scanned.
+  /// `fn(UserId, MerchantId)`.
   template <typename Fn>
   void ForEachEdge(Fn&& fn) const {
     const Rep& rep = *rep_;
     const CsrGraph& base = *rep.base;
-    size_t dead_cursor = 0;  // base user-side slots are EdgeIds, ascending
+    const int64_t num_base = base.num_edges();
+    const size_t num_dead = rep.dead.size();
+    const size_t num_adds = rep.adds.size();
+    size_t dead_cursor = 0;
     size_t add_cursor = 0;
-    for (UserId u = 0; u < base.num_users(); ++u) {
-      std::span<const MerchantId> row = base.user_neighbors(u);
-      EdgeId id = base.user_edge_begin(u);
-      size_t k = 0;
-      // Merge: base row and adds row are both ascending in merchant id.
-      while (true) {
-        // Skip dead base slots first so the merge only sees live edges.
-        while (k < row.size() && dead_cursor < rep.dead.size() &&
-               rep.dead[dead_cursor] == id + static_cast<EdgeId>(k)) {
-          ++dead_cursor;
-          ++k;
-        }
-        const bool base_left = k < row.size();
-        const bool add_left = add_cursor < rep.adds.size() &&
-                              rep.adds[add_cursor].user == u;
-        if (!base_left && !add_left) break;
-        if (!add_left ||
-            (base_left && row[k] < rep.adds[add_cursor].merchant)) {
-          fn(u, row[k]);
-          ++k;
-        } else {
-          fn(u, rep.adds[add_cursor].merchant);
-          ++add_cursor;
-        }
+    for (EdgeId e = 0; e < num_base; ++e) {
+      if (dead_cursor < num_dead && rep.dead[dead_cursor] == e) {
+        ++dead_cursor;
+        continue;
       }
+      const UserId u = base.edge_user(e);
+      const MerchantId v = base.edge_merchant(e);
+      // Adds are disjoint from base, so no add equals (u, v).
+      while (add_cursor < num_adds &&
+             (rep.adds[add_cursor].user < u ||
+              (rep.adds[add_cursor].user == u &&
+               rep.adds[add_cursor].merchant < v))) {
+        fn(rep.adds[add_cursor].user, rep.adds[add_cursor].merchant);
+        ++add_cursor;
+      }
+      fn(u, v);
     }
-    // Adds reference only users < num_users; merchants beyond base's node
-    // range cannot occur (store universes are fixed at construction).
+    for (; add_cursor < num_adds; ++add_cursor) {
+      fn(rep.adds[add_cursor].user, rep.adds[add_cursor].merchant);
+    }
   }
 
-  /// Stable content hash of the live edge set —
-  /// `FingerprintGraph(Materialize())` by construction (both funnel
-  /// through graph/fingerprint.h's FingerprintEdges), so cache keys built
-  /// from a version, its materialized adjacency form, or its CSR form are
-  /// interchangeable however the base/delta split happens to fall.
-  /// Lazily computed once per version (O(num_edges)), then memoized.
+  /// Replaces `*edges` with the live edge set in canonical order (one
+  /// ForEachEdge walk) and returns ContentFingerprint(), hashing the
+  /// collected edges and memoizing the result unless it is memoized
+  /// already — the streaming detector's one pass over the live edges per
+  /// detection yields both its component input and the report identity.
+  uint64_t CollectLiveEdges(std::vector<Edge>* edges) const;
+
+  /// Stable content hash of the live edge set — FingerprintGraph of any
+  /// built graph over the same edges (both funnel through
+  /// graph/fingerprint.h's FingerprintEdges), so cache keys built from a
+  /// version, its adjacency form, or its CSR form are interchangeable
+  /// however the base/delta split happens to fall. Computed once per
+  /// version (by CollectLiveEdges, O(num_edges)), then memoized.
   uint64_t ContentFingerprint() const;
 
-  /// Rebuilds the live edge set as an adjacency-list graph. O(num_edges).
-  BipartiteGraph Materialize() const;
-
   /// CSR form of the live edge set. When the delta-log is empty the base
-  /// itself is returned (zero cost); otherwise it is rebuilt through
-  /// Materialize() on every call, O(num_edges).
+  /// itself is returned (zero cost); otherwise it is rebuilt from one
+  /// CollectLiveEdges walk through CsrGraph::FromCanonicalEdges on every
+  /// call, O(|U| + |V| + num_edges) — hashing nothing once the fingerprint
+  /// is memoized (a detection over this version memoizes it).
   std::shared_ptr<const CsrGraph> MaterializeCsr() const;
 
   /// Serializes this version (base + delta-log + epoch) as a

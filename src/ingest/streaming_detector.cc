@@ -12,7 +12,6 @@
 #include "common/timer.h"
 #include "detect/fdet.h"
 #include "ensemble/vote_table.h"
-#include "graph/graph_builder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -25,7 +24,8 @@ namespace {
 // StreamingDetectionStats, so a registry delta taken across one report
 // equals that report's stats — stream-replay's narration reads the
 // registry and still prints bit-identical lines. One span + histogram
-// per Detect() stage attributes a report's time (four spans a report).
+// per Detect() stage attributes a report's time (four spans a report),
+// plus one for the local-graph pass nested in the members stage.
 struct StreamMetrics {
   obs::Counter* reports_total;
   obs::Counter* components_total;
@@ -43,6 +43,7 @@ struct StreamMetrics {
   obs::Histogram* label_seconds;
   obs::Histogram* resolve_seconds;
   obs::Histogram* members_seconds;
+  obs::Histogram* prepare_seconds;
   obs::Histogram* aggregate_seconds;
 };
 
@@ -65,6 +66,7 @@ StreamMetrics& Metrics() {
       reg.GetHistogram("ensemfdet_stream_label_seconds"),
       reg.GetHistogram("ensemfdet_stream_resolve_seconds"),
       reg.GetHistogram("ensemfdet_stream_members_seconds"),
+      reg.GetHistogram("ensemfdet_stream_prepare_seconds"),
       reg.GetHistogram("ensemfdet_stream_aggregate_seconds"),
   };
   return m;
@@ -82,6 +84,9 @@ uint64_t ComponentFingerprint(std::span<const Edge> edges) {
   return h;
 }
 
+// Unset entry of the detector's merchant → local id map.
+constexpr MerchantId kNoLocal = std::numeric_limits<MerchantId>::max();
+
 // One dirty component's share of the pair pass: its dense local graph,
 // the ensemble config seeded from its content, and one output slot per
 // member.
@@ -93,19 +98,23 @@ struct DirtyComponent {
   std::vector<UserId> users;          // local id → global id
   std::vector<MerchantId> merchants;  // local id → global id
   CsrGraph csr;
-  Status status;
   std::vector<EnsembleMemberBlocks> members;
   std::vector<Status> member_status;
 };
 
-// Readies a dirty component for the pair pass. All randomness is
-// content-derived — same component content + same base seed → same member
-// outputs, whenever and wherever computed — and exploration is fixed-k
-// per component; the elbow applies globally after the merge. Dense local
-// ids index the sorted global node lists: the edges arrive in canonical
-// (user, merchant) order, so the user list is already sorted; the
-// merchant list needs one sort.
-void PrepareComponent(const EnsemFDetConfig& base, DirtyComponent* d) {
+// Readies a dirty component for the pair pass in O(component edges). All
+// randomness is content-derived — same component content + same base
+// seed → same member outputs, whenever and wherever computed — and
+// exploration is fixed-k per component; the elbow applies globally after
+// the merge. Local ids are ranks among the component's global ids: the
+// edges arrive in canonical (user, merchant) order, so a user's rank is
+// its run index; a merchant's comes from `merchant_local`, a
+// universe-sized map (kNoLocal everywhere between calls) that only this
+// component's distinct merchants touch, sorted once. Components are
+// merchant-disjoint, so concurrent calls write disjoint entries. Both
+// relabelings are monotone, so the local edge list is canonical too.
+void PrepareComponent(const EnsemFDetConfig& base, MerchantId* merchant_local,
+                      DirtyComponent* d) {
   d->config = base;
   d->config.seed = HashCombine(base.seed, d->fingerprint);
   d->config.fdet.policy = TruncationPolicy::kFixedK;
@@ -114,37 +123,27 @@ void PrepareComponent(const EnsemFDetConfig& base, DirtyComponent* d) {
   d->member_status.assign(static_cast<size_t>(base.num_samples),
                           Status::OK());
 
-  d->users.reserve(d->edges.size());
-  d->merchants.reserve(d->edges.size());
+  std::vector<Edge> local;  // local user id, global merchant id for now
+  local.reserve(d->edges.size());
   for (const Edge& e : d->edges) {
     if (d->users.empty() || d->users.back() != e.user) {
       d->users.push_back(e.user);
     }
-    d->merchants.push_back(e.merchant);
+    if (merchant_local[e.merchant] == kNoLocal) {
+      merchant_local[e.merchant] = 0;  // seen; ranked below
+      d->merchants.push_back(e.merchant);
+    }
+    local.push_back({static_cast<UserId>(d->users.size() - 1), e.merchant});
   }
   std::sort(d->merchants.begin(), d->merchants.end());
-  d->merchants.erase(std::unique(d->merchants.begin(), d->merchants.end()),
-                     d->merchants.end());
-
-  GraphBuilder builder(static_cast<int64_t>(d->users.size()),
-                       static_cast<int64_t>(d->merchants.size()));
-  builder.Reserve(static_cast<int64_t>(d->edges.size()));
-  for (const Edge& e : d->edges) {
-    const auto lu = static_cast<UserId>(
-        std::lower_bound(d->users.begin(), d->users.end(), e.user) -
-        d->users.begin());
-    const auto lv = static_cast<MerchantId>(
-        std::lower_bound(d->merchants.begin(), d->merchants.end(),
-                         e.merchant) -
-        d->merchants.begin());
-    builder.AddEdge(lu, lv);
+  for (size_t k = 0; k < d->merchants.size(); ++k) {
+    merchant_local[d->merchants[k]] = static_cast<MerchantId>(k);
   }
-  Result<BipartiteGraph> graph = builder.Build(DuplicatePolicy::kKeepFirst);
-  if (!graph.ok()) {
-    d->status = graph.status();
-    return;
-  }
-  d->csr = CsrGraph::FromBipartite(*graph);
+  for (Edge& e : local) e.merchant = merchant_local[e.merchant];
+  for (MerchantId v : d->merchants) merchant_local[v] = kNoLocal;
+  d->csr = CsrGraph::FromCanonicalEdges(
+      static_cast<int64_t>(d->users.size()),
+      static_cast<int64_t>(d->merchants.size()), local);
 }
 
 // Runs member `i` of a dirty component and translates its block nodes to
@@ -236,15 +235,13 @@ void StreamingDetector::InsertCache(
   }
 }
 
-int64_t StreamingDetector::LabelComponents(const GraphVersion& version) {
+int64_t StreamingDetector::LabelComponents(const GraphVersion& version,
+                                           uint64_t* fingerprint) {
   const int64_t num_users = version.num_users();
   const int64_t num_nodes = num_users + version.num_merchants();
   ENSEMFDET_CHECK(num_nodes <= std::numeric_limits<uint32_t>::max())
       << "packed node ids must fit 32 bits";
-  edges_.clear();
-  edges_.reserve(static_cast<size_t>(version.num_edges()));
-  version.ForEachEdge(
-      [this](UserId u, MerchantId v) { edges_.push_back({u, v}); });
+  *fingerprint = version.CollectLiveEdges(&edges_);
 
   if (node_stamp_.size() < static_cast<size_t>(num_nodes)) {
     parent_.resize(static_cast<size_t>(num_nodes));
@@ -349,14 +346,15 @@ Result<StreamingReport> StreamingDetector::Detect(const GraphVersion& version,
 
   StreamingReport out;
   out.epoch = version.epoch();
-  out.fingerprint = version.ContentFingerprint();
 
   // --- 1. Connected components of the merged base+delta view, ids in
   // smallest-user order (a pure function of content), edges partitioned
-  // by component in canonical order.
+  // by component in canonical order. The same walk over the live edges
+  // yields the version's content fingerprint.
   {
     obs::TraceSpan span(metrics.label_seconds, "stream_label");
-    out.stats.components_touched = LabelComponents(version);
+    out.stats.components_touched =
+        LabelComponents(version, &out.fingerprint);
   }
   const auto num_components =
       static_cast<int32_t>(comp_offsets_.size() - 1);
@@ -400,21 +398,27 @@ Result<StreamingReport> StreamingDetector::Detect(const GraphVersion& version,
   {
     obs::TraceSpan span(metrics.members_seconds, "stream_members");
     const auto num_dirty = static_cast<int64_t>(dirty.size());
-    ForEachOnPool(pool, num_dirty, [&](int64_t k) {
-      PrepareComponent(config_.ensemble, &dirty[static_cast<size_t>(k)]);
-    });
+    {
+      obs::TraceSpan prepare_span(metrics.prepare_seconds, "stream_prepare");
+      if (merchant_local_.size() < static_cast<size_t>(num_merchants)) {
+        merchant_local_.resize(static_cast<size_t>(num_merchants), kNoLocal);
+      }
+      ForEachOnPool(pool, num_dirty, [&](int64_t k) {
+        PrepareComponent(config_.ensemble, merchant_local_.data(),
+                         &dirty[static_cast<size_t>(k)]);
+      });
+    }
     std::vector<size_t> order(dirty.size());
     std::iota(order.begin(), order.end(), size_t{0});
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
       return dirty[a].edges.size() > dirty[b].edges.size();
     });
     ForEachOnPool(pool, num_dirty * n, [&](int64_t pair) {
-      DirtyComponent& d = dirty[order[static_cast<size_t>(pair / n)]];
-      if (d.status.ok()) RunDirtyMember(&d, static_cast<int>(pair % n));
+      RunDirtyMember(&dirty[order[static_cast<size_t>(pair / n)]],
+                     static_cast<int>(pair % n));
     });
 
     for (const DirtyComponent& d : dirty) {
-      ENSEMFDET_RETURN_NOT_OK(d.status);
       for (const Status& status : d.member_status) {
         ENSEMFDET_RETURN_NOT_OK(status);
       }

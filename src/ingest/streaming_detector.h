@@ -147,11 +147,12 @@ class StreamingDetector {
   void InsertCache(uint64_t fingerprint,
                    std::shared_ptr<const ComponentEntry> entry);
 
-  /// Labels the live graph's connected components (union-find over the
-  /// live edges) and partitions the edges by component into
-  /// comp_edges_ / comp_offsets_, canonical order within each. Returns the
-  /// number of components containing a dirty-frontier node.
-  int64_t LabelComponents(const GraphVersion& version);
+  /// Collects the live edges (GraphVersion::CollectLiveEdges, which also
+  /// sets `*fingerprint`), labels their connected components (union-find)
+  /// and partitions the edges by component into comp_edges_ /
+  /// comp_offsets_, canonical order within each. Returns the number of
+  /// components containing a dirty-frontier node.
+  int64_t LabelComponents(const GraphVersion& version, uint64_t* fingerprint);
 
   StreamingDetectorConfig config_;
 
@@ -176,6 +177,9 @@ class StreamingDetector {
   std::vector<int32_t> edge_comp_;    // component of edges_[k]
   std::vector<Edge> comp_edges_;      // edges grouped by component
   std::vector<int64_t> comp_offsets_;  // component c: [c, c + 1)
+  // Global merchant → component-local id while a dirty component's local
+  // graph is built; all-unset between calls (see PrepareComponent).
+  std::vector<MerchantId> merchant_local_;
 };
 
 }  // namespace ensemfdet

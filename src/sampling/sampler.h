@@ -61,7 +61,8 @@ int64_t SampleTargetCount(double ratio, int64_t population);
 /// lists, and epoch-stamped membership marks (indexed by parent id), all
 /// reused across calls so a warm ensemble worker samples with zero arena
 /// allocations. `grow_events` counts growths of the draw buffers and the
-/// marks (flat once warm; surfaced by the ensemble bench).
+/// marks (flat once warm; summed into each member's `arena_grow_events`,
+/// ensemble/ensemfdet.h).
 ///
 /// @note Thread-safety: mutable state — one instance per thread.
 struct EdgeMaskScratch {

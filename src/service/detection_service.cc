@@ -21,7 +21,8 @@ namespace {
 
 // Service-layer instruments: per-job submit→start→finish latency split,
 // backpressure rejections (job queue and stream queues share one
-// counter), and per-session ingest lag (batch enqueue → drain pickup).
+// counter), per-session ingest lag (batch enqueue → drain pickup), and the
+// registry publish of each stream report's window.
 struct ServiceMetrics {
   obs::Counter* jobs_submitted_total;
   obs::Counter* jobs_done_total;
@@ -35,6 +36,7 @@ struct ServiceMetrics {
   obs::Histogram* job_run_seconds;
   obs::Histogram* job_total_seconds;
   obs::Histogram* stream_ingest_lag_seconds;
+  obs::Histogram* stream_publish_seconds;
 };
 
 ServiceMetrics& Metrics() {
@@ -52,6 +54,7 @@ ServiceMetrics& Metrics() {
       reg.GetHistogram("ensemfdet_service_job_run_seconds"),
       reg.GetHistogram("ensemfdet_service_job_total_seconds"),
       reg.GetHistogram("ensemfdet_service_stream_ingest_lag_seconds"),
+      reg.GetHistogram("ensemfdet_service_stream_publish_seconds"),
   };
   return m;
 }
@@ -833,8 +836,12 @@ void DetectionService::RecordStreamReport(
   const uint64_t fingerprint = version->ContentFingerprint();
 
   if (!session->config.publish_name.empty()) {
-    Result<GraphSnapshot> published =
-        registry_->PublishVersion(session->config.publish_name, *version);
+    Result<GraphSnapshot> published = [&] {
+      obs::TraceSpan span(Metrics().stream_publish_seconds,
+                          "service_stream_publish");
+      return registry_->PublishVersion(session->config.publish_name,
+                                       *version);
+    }();
     if (!published.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       if (session->error.ok()) session->error = published.status();

@@ -1,7 +1,8 @@
 // CsrGraph layout invariants and the adjacency↔CSR conversion contract
-// (DESIGN.md §"Graph memory layout"): exact round-trips, slot == EdgeId,
-// O(1) endpoint lookups, degenerate shapes, and fingerprint equivalence
-// between the two representations.
+// (DESIGN.md §"Graph memory layout"): exact round-trips through both
+// owning constructors (FromBipartite and the canonical edge-list builder),
+// slot == EdgeId, O(1) endpoint lookups, degenerate shapes, and
+// fingerprint equivalence between the two representations.
 #include "graph/csr_graph.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +26,12 @@ BipartiteGraph RandomGraph(int64_t users, int64_t merchants, int64_t edges,
     b.AddEdge(u, v, weighted ? 1.0 + rng.NextDouble() : 1.0);
   }
   return b.Build(DuplicatePolicy::kKeepFirst).ValueOrDie();
+}
+
+// The edge-list constructor over the same canonical edges and weights.
+CsrGraph FromEdges(const BipartiteGraph& g) {
+  return CsrGraph::FromCanonicalEdges(g.num_users(), g.num_merchants(),
+                                      g.edges(), g.weights());
 }
 
 void ExpectGraphsEqual(const BipartiteGraph& a, const BipartiteGraph& b) {
@@ -98,17 +105,18 @@ TEST(CsrGraphTest, UserSlotIsEdgeId) {
 
 TEST(CsrGraphTest, MerchantRowsMatchAdjacency) {
   BipartiteGraph g = RandomGraph(30, 20, 200, 5, /*weighted=*/true);
-  CsrGraph csr = CsrGraph::FromBipartite(g);
-  for (MerchantId v = 0; v < g.num_merchants(); ++v) {
-    auto edge_ids = csr.merchant_edge_ids(v);
-    auto neighbors = csr.merchant_neighbors(v);
-    auto expected = g.merchant_edges(v);
-    ASSERT_EQ(edge_ids.size(), expected.size());
-    ASSERT_EQ(static_cast<int64_t>(neighbors.size()),
-              g.merchant_degree(v));
-    for (size_t k = 0; k < edge_ids.size(); ++k) {
-      EXPECT_EQ(edge_ids[k], expected[k]);
-      EXPECT_EQ(neighbors[k], g.edge(expected[k]).user);
+  for (const CsrGraph& csr : {CsrGraph::FromBipartite(g), FromEdges(g)}) {
+    for (MerchantId v = 0; v < g.num_merchants(); ++v) {
+      auto edge_ids = csr.merchant_edge_ids(v);
+      auto neighbors = csr.merchant_neighbors(v);
+      auto expected = g.merchant_edges(v);
+      ASSERT_EQ(edge_ids.size(), expected.size());
+      ASSERT_EQ(static_cast<int64_t>(neighbors.size()),
+                g.merchant_degree(v));
+      for (size_t k = 0; k < edge_ids.size(); ++k) {
+        EXPECT_EQ(edge_ids[k], expected[k]);
+        EXPECT_EQ(neighbors[k], g.edge(expected[k]).user);
+      }
     }
   }
 }
@@ -116,16 +124,34 @@ TEST(CsrGraphTest, MerchantRowsMatchAdjacency) {
 TEST(CsrGraphTest, RoundTripUnweighted) {
   BipartiteGraph g = RandomGraph(60, 35, 500, 3, /*weighted=*/false);
   ExpectGraphsEqual(g, CsrGraph::FromBipartite(g).ToBipartite());
+  ExpectGraphsEqual(g, FromEdges(g).ToBipartite());
 }
 
 TEST(CsrGraphTest, RoundTripWeighted) {
   BipartiteGraph g = RandomGraph(60, 35, 500, 4, /*weighted=*/true);
-  CsrGraph csr = CsrGraph::FromBipartite(g);
-  EXPECT_TRUE(csr.has_weights());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    EXPECT_EQ(csr.edge_weight(e), g.edge_weight(e));
+  for (const CsrGraph& csr : {CsrGraph::FromBipartite(g), FromEdges(g)}) {
+    EXPECT_TRUE(csr.has_weights());
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_EQ(csr.edge_weight(e), g.edge_weight(e));
+    }
+    ExpectGraphsEqual(g, csr.ToBipartite());
   }
-  ExpectGraphsEqual(g, csr.ToBipartite());
+}
+
+TEST(CsrGraphTest, EmptyEdgeSpanOverNonEmptyUniverse) {
+  CsrGraph csr = CsrGraph::FromCanonicalEdges(7, 3, {});
+  EXPECT_EQ(csr.num_users(), 7);
+  EXPECT_EQ(csr.num_merchants(), 3);
+  EXPECT_EQ(csr.num_edges(), 0);
+  EXPECT_FALSE(csr.has_weights());
+  EXPECT_EQ(csr.user_offsets().size(), 8u);
+  EXPECT_EQ(csr.merchant_offsets().size(), 4u);
+  for (UserId u = 0; u < 7; ++u) EXPECT_EQ(csr.user_degree(u), 0);
+  for (MerchantId v = 0; v < 3; ++v) EXPECT_EQ(csr.merchant_degree(v), 0);
+  GraphBuilder b(7, 3);
+  BipartiteGraph edgeless = b.Build().ValueOrDie();
+  ExpectGraphsEqual(edgeless, csr.ToBipartite());
+  EXPECT_EQ(FingerprintGraph(csr), FingerprintGraph(edgeless));
 }
 
 TEST(CsrGraphTest, FingerprintMatchesBipartiteForm) {

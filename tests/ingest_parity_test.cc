@@ -8,6 +8,7 @@
 // pins what the detector computes, not just that it agrees with itself.
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "ensemble/ensemfdet.h"
 #include "ensemble/vote_table.h"
 #include "graph/csr_graph.h"
+#include "graph/fingerprint.h"
 #include "graph/graph_builder.h"
 #include "ingest/dynamic_graph_store.h"
 #include "ingest/streaming_detector.h"
@@ -61,9 +63,17 @@ void ExpectReportsIdentical(const EnsemFDetReport& a,
   }
 }
 
+// The live edge set as an adjacency graph, built from the merged iteration
+// through GraphBuilder rather than the detector's CollectLiveEdges.
+BipartiteGraph LiveGraph(const GraphVersion& version) {
+  GraphBuilder builder(version.num_users(), version.num_merchants());
+  version.ForEachEdge([&](UserId u, MerchantId v) { builder.AddEdge(u, v); });
+  return builder.Build(DuplicatePolicy::kKeepFirst).ValueOrDie();
+}
+
 // The referee: StreamingDetector::Detect re-derived serially from pieces
-// the detector does not use. Components come from GraphVersion::
-// Materialize plus FindConnectedComponents (tests/referee/components.h),
+// the detector does not use. Components come from LiveGraph plus
+// FindConnectedComponents (tests/referee/components.h),
 // whose smallest-packed-id order (edgeless singletons dropped) is the
 // detector's component order. Each component's member blocks come from
 // the ensemble's per-member entry point, which ensemble_parity_test pins
@@ -127,7 +137,7 @@ std::vector<EnsembleMemberBlocks> ReferenceComponentMembers(
 
 EnsemFDetReport ReferenceDetect(const GraphVersion& version,
                                 const StreamingDetectorConfig& config) {
-  const BipartiteGraph graph = version.Materialize();
+  const BipartiteGraph graph = LiveGraph(version);
   const ConnectedComponents cc = FindConnectedComponents(graph);
   std::vector<std::vector<Edge>> comp_edges(
       static_cast<size_t>(cc.num_components()));
@@ -489,6 +499,54 @@ TEST(IngestParityTest, InsertsNeverEvictWhatTheSameDetectionReplays) {
   ExpectReportsIdentical(r2.report,
                          fresh.Detect(second, nullptr).ValueOrDie().report,
                          "eviction order");
+}
+
+// A report's fingerprint is its version's content identity, taken from
+// the labelling pass's walk: it equals the ContentFingerprint() of an
+// un-memoized copy of the version (a fresh one rebuilt from its parts) and
+// the fingerprint of the live graph built through GraphBuilder, on
+// delta-carrying and compacted versions alike.
+TEST(IngestParityTest, ReportFingerprintIsTheVersionContent) {
+  const std::vector<Transaction> events = ParityStream(61);
+  DynamicGraphStoreConfig store_config;
+  store_config.num_users = 500;
+  store_config.num_merchants = 300;
+  store_config.window = 6000;
+  store_config.min_compaction_delta = 64;
+  auto store = DynamicGraphStore::Create(store_config).ValueOrDie();
+  auto detector =
+      StreamingDetector::Create(DetectorConfig(SampleMethod::kRandomEdge, 61))
+          .ValueOrDie();
+
+  bool saw_delta = false;
+  bool saw_compacted = false;
+  size_t next = 0;
+  const size_t step = events.size() / 6;
+  while (next < events.size()) {
+    IngestBatch batch;
+    const size_t end = std::min(events.size(), next + step);
+    batch.transactions.assign(events.begin() + next, events.begin() + end);
+    next = end;
+    ASSERT_TRUE(store.Apply(batch).ok());
+    const GraphVersion version = store.Publish();
+    saw_delta = saw_delta || !version.delta_adds().empty() ||
+                !version.delta_dead().empty();
+    saw_compacted = saw_compacted || version.compacted();
+    const StreamingReport report =
+        detector.Detect(version, nullptr).ValueOrDie();
+
+    const GraphVersion copy = GraphVersion::FromSnapshotParts(
+        version.epoch(), version.num_users(), version.num_merchants(),
+        version.compacted(), std::make_shared<const CsrGraph>(version.base()),
+        {version.delta_adds().begin(), version.delta_adds().end()},
+        {version.delta_dead().begin(), version.delta_dead().end()}, {}, {});
+    EXPECT_EQ(report.fingerprint, copy.ContentFingerprint())
+        << "epoch " << version.epoch();
+    EXPECT_EQ(report.fingerprint, FingerprintGraph(LiveGraph(copy)))
+        << "epoch " << version.epoch();
+  }
+  EXPECT_TRUE(saw_delta);
+  EXPECT_TRUE(saw_compacted);
 }
 
 TEST(IngestParityTest, EmptyAndDegenerateVersions) {

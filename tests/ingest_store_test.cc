@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,14 @@ IngestBatch Batch(std::initializer_list<Transaction> txs) {
   IngestBatch batch;
   batch.transactions.assign(txs.begin(), txs.end());
   return batch;
+}
+
+// The live edge set as an adjacency graph, built from the merged iteration
+// through GraphBuilder (independent of CsrGraph::FromCanonicalEdges).
+BipartiteGraph LiveGraph(const GraphVersion& version) {
+  GraphBuilder builder(version.num_users(), version.num_merchants());
+  version.ForEachEdge([&](UserId u, MerchantId v) { builder.AddEdge(u, v); });
+  return builder.Build(DuplicatePolicy::kKeepFirst).ValueOrDie();
 }
 
 TEST(DynamicGraphStoreTest, CreateValidatesConfig) {
@@ -101,7 +110,7 @@ TEST(DynamicGraphStoreTest, FingerprintMatchesMaterializedForms) {
   ASSERT_TRUE(
       store.Apply(Batch({{0, 1, 2}, {1, 4, 3}, {2, 1, 3}, {3, 0, 0}})).ok());
   GraphVersion version = store.Publish();
-  BipartiteGraph graph = version.Materialize();
+  BipartiteGraph graph = LiveGraph(version);
   EXPECT_EQ(version.ContentFingerprint(), FingerprintGraph(graph));
   EXPECT_EQ(version.ContentFingerprint(),
             FingerprintGraph(*version.MaterializeCsr()));
@@ -149,7 +158,68 @@ TEST(DynamicGraphStoreTest, CompactionPreservesContentAndEmptiesDelta) {
   ASSERT_TRUE(store.Apply(Batch({{200, 9, 9}})).ok());  // evicts everything
   GraphVersion v3 = store.Publish();
   EXPECT_EQ(v3.num_edges(), 1);
-  EXPECT_EQ(v3.ContentFingerprint(), FingerprintGraph(v3.Materialize()));
+  EXPECT_EQ(v3.ContentFingerprint(), FingerprintGraph(LiveGraph(v3)));
+}
+
+// ForEachEdge walks base edge ids and merges the adds in; these pin the
+// merge's boundaries on hand-built versions (an 8×8 universe, the base
+// below, explicit delta-logs). Every reader of the live set must agree
+// with the expected canonical list: ForEachEdge, CollectLiveEdges, the
+// fingerprint and MaterializeCsr.
+const std::vector<Edge> kBase = {{2, 1}, {2, 3}, {4, 0}, {5, 5}};
+
+void ExpectLiveEdges(std::vector<Edge> base, std::vector<Edge> adds,
+                     std::vector<EdgeId> dead,
+                     const std::vector<Edge>& expected) {
+  const GraphVersion version = GraphVersion::FromSnapshotParts(
+      1, 8, 8, /*compacted=*/false,
+      std::make_shared<const CsrGraph>(
+          CsrGraph::FromCanonicalEdges(8, 8, base)),
+      std::move(adds), std::move(dead), {}, {});
+  ASSERT_EQ(version.num_edges(), static_cast<int64_t>(expected.size()));
+  std::vector<Edge> walked;
+  version.ForEachEdge(
+      [&](UserId u, MerchantId v) { walked.push_back({u, v}); });
+  EXPECT_EQ(walked, expected);
+  std::vector<Edge> collected = {{7, 7}};  // replaced, not appended to
+  EXPECT_EQ(version.CollectLiveEdges(&collected),
+            FingerprintEdges(8, 8, expected));
+  EXPECT_EQ(collected, expected);
+  EXPECT_EQ(version.ContentFingerprint(), FingerprintEdges(8, 8, expected));
+  const std::shared_ptr<const CsrGraph> csr = version.MaterializeCsr();
+  ASSERT_EQ(csr->num_edges(), static_cast<int64_t>(expected.size()));
+  for (size_t e = 0; e < expected.size(); ++e) {
+    EXPECT_EQ(csr->edge_user(static_cast<EdgeId>(e)), expected[e].user);
+    EXPECT_EQ(csr->edge_merchant(static_cast<EdgeId>(e)),
+              expected[e].merchant);
+  }
+}
+
+TEST(GraphVersionMergeTest, AddsBeforeFirstAndAfterLastLiveBaseEdge) {
+  // (2, 2) sorts between the dead first base edge and the first live one;
+  // (5, 6) and (7, 0) sort after the last base edge.
+  ExpectLiveEdges(kBase, {{1, 4}, {2, 2}, {5, 6}, {7, 0}}, {0},
+                  {{1, 4}, {2, 2}, {2, 3}, {4, 0}, {5, 5}, {5, 6}, {7, 0}});
+  ExpectLiveEdges(kBase, {{0, 0}, {6, 1}}, {},
+                  {{0, 0}, {2, 1}, {2, 3}, {4, 0}, {5, 5}, {6, 1}});
+}
+
+TEST(GraphVersionMergeTest, FirstAndLastBaseEdgeDead) {
+  ExpectLiveEdges(kBase, {}, {0, 3}, {{2, 3}, {4, 0}});
+  ExpectLiveEdges(kBase, {{2, 0}, {5, 4}}, {0, 3},
+                  {{2, 0}, {2, 3}, {4, 0}, {5, 4}});
+}
+
+TEST(GraphVersionMergeTest, EveryBaseEdgeDead) {
+  ExpectLiveEdges(kBase, {}, {0, 1, 2, 3}, {});
+  ExpectLiveEdges(kBase, {{0, 7}, {3, 3}, {7, 7}}, {0, 1, 2, 3},
+                  {{0, 7}, {3, 3}, {7, 7}});
+}
+
+TEST(GraphVersionMergeTest, EmptyBaseWithAdds) {
+  ExpectLiveEdges({}, {{0, 1}, {3, 2}, {3, 6}, {7, 7}}, {},
+                  {{0, 1}, {3, 2}, {3, 6}, {7, 7}});
+  ExpectLiveEdges({}, {}, {}, {});
 }
 
 TEST(DynamicGraphStoreTest, TouchedFrontierTracksStructuralChangesOnly) {

@@ -83,6 +83,8 @@ REQUIRED = {
     "ensemfdet_service_stream_reports_total": "counter",
     "ensemfdet_service_open_streams": "gauge",
     "ensemfdet_service_job_run_seconds": "histogram",
+    # The registry publish of each stream report's window.
+    "ensemfdet_service_stream_publish_seconds": "histogram",
     "ensemfdet_storage_writes_total": "counter",
     "ensemfdet_storage_loads_total": "counter",
     "ensemfdet_storage_verifies_total": "counter",
@@ -97,6 +99,8 @@ REQUIRED = {
     "ensemfdet_stream_label_seconds": "histogram",
     "ensemfdet_stream_resolve_seconds": "histogram",
     "ensemfdet_stream_members_seconds": "histogram",
+    # The dirty components' local-graph pass, nested in the members stage.
+    "ensemfdet_stream_prepare_seconds": "histogram",
     "ensemfdet_stream_aggregate_seconds": "histogram",
     "ensemfdet_wal_appends_total": "counter",
     "ensemfdet_wal_fsyncs_total": "counter",

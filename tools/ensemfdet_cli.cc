@@ -107,6 +107,15 @@ class Flags {
   double GetDouble(const std::string& key, double fallback) {
     return GetNumber(key, fallback, "a number");
   }
+  /// `--scale`, the datagen preset scale every generating command reads:
+  /// a number in (0, 1] when given, else a usage error naming the flag.
+  double GetScale(double fallback) {
+    const double value = GetDouble("scale", fallback);
+    if (Has("scale") && !(value > 0.0 && value <= 1.0)) {
+      DieExpected("scale", "a number in (0, 1]", values_.at("scale"));
+    }
+    return value;
+  }
   uint64_t GetUint64(const std::string& key, uint64_t fallback) {
     return GetNumber(key, fallback, "a non-negative integer");
   }
@@ -234,7 +243,8 @@ int Usage() {
       "                       finish the replay — stdout is bit-identical\n"
       "                       to the uninterrupted run\n"
       "\n"
-      "counts: --threads >= 0 (0 = hardware), --top >= 0, --t >= 1\n"
+      "counts: --threads >= 0 (0 = hardware), --top >= 0, --t >= 1;\n"
+      "ranges: --scale in (0, 1]\n"
       "\n"
       "exit codes: 0 ok; 2 usage (bad flags / InvalidArgument / NotFound);\n"
       "            1 runtime failure (IO, corrupt input, detection error)\n");
@@ -413,7 +423,7 @@ int CmdGenerate(Flags& flags) {
   const std::string out = flags.GetString("out", "");
   const std::string labels_path = flags.GetString("labels", "");
   const std::string preset_name = flags.GetString("preset", "dataset1");
-  const double scale = flags.GetDouble("scale", 0.01);
+  const double scale = flags.GetScale(0.01);
   const uint64_t seed = flags.GetUint64("seed", 7);
   flags.DieOnUnknown();
   if (out.empty()) {
@@ -683,7 +693,7 @@ int CmdEvaluate(Flags& flags) {
   } while (0)
 
 int CmdBenchSmoke(Flags& flags) {
-  const double scale = flags.GetDouble("scale", 0.004);
+  const double scale = flags.GetScale(0.004);
   const uint64_t seed = flags.GetUint64("seed", 7);
   ThreadPool* pool = PoolFromFlags(flags);
   flags.DieOnUnknown();
@@ -776,7 +786,7 @@ int CmdBenchSmoke(Flags& flags) {
 // ---------------------------------------------------------------------------
 int CmdStreamReplay(Flags& flags) {
   const std::string preset_name = flags.GetString("preset", "dataset1");
-  const double scale = flags.GetDouble("scale", 0.01);
+  const double scale = flags.GetScale(0.01);
   const uint64_t seed = flags.GetUint64("seed", 7);
   const int64_t horizon = flags.GetInt("horizon", 86400);
   const int64_t burst = flags.GetInt("burst", 1800);
@@ -990,7 +1000,7 @@ int CmdStreamReplay(Flags& flags) {
 // and counter monotonicity between A and B.
 // ---------------------------------------------------------------------------
 int CmdMetricsDump(Flags& flags) {
-  const double scale = flags.GetDouble("scale", 0.004);
+  const double scale = flags.GetScale(0.004);
   const uint64_t seed = flags.GetUint64("seed", 7);
   const std::string out_a = flags.GetString("out-a", "");
   const std::string out_b = flags.GetString("out-b", "");
@@ -1054,6 +1064,9 @@ int CmdMetricsDump(Flags& flags) {
   session.detector.num_merchants = dataset->graph.num_merchants();
   session.wal.dir = wal_dir;
   session.wal.fsync = storage::WalFsyncPolicy::kBatch;
+  // Each report publishes its window, so the registry-publish histogram
+  // records too.
+  session.publish_name = "obs_window";
   StreamTimelineConfig timeline;
   timeline.horizon = 3600;
   timeline.burst_duration = 600;
@@ -1367,7 +1380,7 @@ int CmdTraceReport(Flags& flags) {
 // The measurements live in bench/perf_harness.cc.
 // ---------------------------------------------------------------------------
 int CmdBenchReport(Flags& flags) {
-  const double scale = flags.GetDouble("scale", 0.02);
+  const double scale = flags.GetScale(0.02);
   const int repeats = flags.GetInt("repeats", 5);
   const std::string out_dir = flags.GetString("out-dir", ".");
   flags.DieOnUnknown();
