@@ -43,13 +43,15 @@ PoolMetrics& Metrics() {
   return m;
 }
 
+int HardwareWidth() {
+  const int n = static_cast<int>(std::thread::hardware_concurrency());
+  return n > 0 ? n : 4;
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
-  if (num_threads <= 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (num_threads <= 0) num_threads = 4;
-  }
+  if (num_threads <= 0) num_threads = HardwareWidth();
   // Width of the most recently created pool; in practice one default
   // pool serves the whole process (examples, CLI, service).
   Metrics().workers->Set(num_threads);
@@ -73,18 +75,12 @@ void ThreadPool::Enqueue(std::function<void()> task) {
       obs::MetricsRuntimeEnabled() ? obs::TraceNowNs() : -1;
   // Capture the submitter's causal context so the worker can reinstall
   // it: spans the task opens then parent to the submitting span, not to
-  // whatever the worker ran last. The flow event pair (s here, f at
-  // execution) draws the cross-thread arrow in trace viewers.
+  // whatever the worker ran last.
   const obs::TraceContext ctx = obs::CurrentTraceContext();
-  uint64_t flow_id = 0;
-  if (obs::TraceEnabled() && ctx.valid()) {
-    flow_id = obs::NewSpanId();
-    obs::AppendFlowEvent("pool_flow", 's', flow_id);
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     ENSEMFDET_CHECK(!shutdown_) << "Submit after shutdown";
-    queue_.push_back(Pending{std::move(task), enqueue_ns, ctx, flow_id});
+    queue_.push_back(Pending{std::move(task), enqueue_ns, ctx});
     ++in_flight_;
   }
   PoolMetrics& m = Metrics();
@@ -98,7 +94,6 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     int64_t enqueue_ns = -1;
     obs::TraceContext ctx;
-    uint64_t flow_id = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
@@ -106,7 +101,6 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front().fn);
       enqueue_ns = queue_.front().enqueue_ns;
       ctx = queue_.front().ctx;
-      flow_id = queue_.front().flow_id;
       queue_.pop_front();
     }
     PoolMetrics& m = Metrics();
@@ -119,9 +113,8 @@ void ThreadPool::WorkerLoop() {
       // be invalid) for the task's duration. pool_task is detached — it
       // times the scheduling layer without inserting itself into the
       // detection tree, so the tree's *shape* is identical at any pool
-      // width (only flow arrows and pool_task wrappers vary).
+      // width (only pool_task wrappers vary).
       obs::ScopedTraceContext scope(ctx);
-      if (flow_id != 0) obs::AppendFlowEvent("pool_flow", 'f', flow_id);
       obs::TraceSpan span(m.task_run_seconds, "pool_task",
                          obs::TraceSpan::Link::kDetached);
       task();
@@ -289,8 +282,13 @@ void ThreadPool::ParallelForWorkStealing(
 }
 
 ThreadPool& DefaultThreadPool() {
-  static ThreadPool pool(GetEnvInt("ENSEMFDET_THREADS", 0));
+  static ThreadPool pool(DefaultThreadPoolWidth());
   return pool;
+}
+
+int DefaultThreadPoolWidth() {
+  const int env = GetEnvInt("ENSEMFDET_THREADS", 0);
+  return env > 0 ? env : HardwareWidth();
 }
 
 }  // namespace ensemfdet

@@ -74,9 +74,9 @@ class ThreadPool {
     int64_t enqueue_ns;  // obs trace clock at enqueue; -1 = not stamped
     // Submitter's causal context, captured at enqueue and reinstalled
     // around execution — this is the cross-thread hop that keeps one
-    // detection's span tree connected (DESIGN.md "Causal tracing").
+    // detection's span tree connected (DESIGN.md "Causal tracing"); the
+    // worker's pool_task span parents to it.
     obs::TraceContext ctx;
-    uint64_t flow_id;  // ties the Chrome flow arrow (s→f); 0 = no flow
   };
 
   void Enqueue(std::function<void()> task);
@@ -110,6 +110,10 @@ void ForEachOnPool(ThreadPool* pool, int64_t n, const Fn& fn) {
 /// otherwise hardware concurrency. Intended for examples/benches; library
 /// components accept an explicit pool.
 ThreadPool& DefaultThreadPool();
+
+/// The worker count DefaultThreadPool() has, or will have once first
+/// used; reading it does not start the pool.
+int DefaultThreadPoolWidth();
 
 }  // namespace ensemfdet
 

@@ -163,24 +163,22 @@ Result<IngestStats> DynamicGraphStore::Apply(const IngestBatch& batch) {
   return stats;
 }
 
-void DynamicGraphStore::Compact() {
+void DynamicGraphStore::Compact(SortedDelta* delta) {
   obs::TraceSpan span(Metrics().compact_seconds, "store_compact");
-  // Packed keys sort as canonical (user, merchant) pairs; the multiplicity
-  // map holds each live edge once and every id was validated at ingest.
-  std::vector<uint64_t> keys;
-  keys.reserve(multiplicity_.size());
-  for (const auto& [key, mult] : multiplicity_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
+  // The version merge of the old base with the sorted delta-log yields
+  // the live set in canonical order: distinct edges, ids validated at
+  // ingest — FromCanonicalEdges' precondition, with nothing to sort.
   std::vector<Edge> edges;
-  edges.reserve(keys.size());
-  for (uint64_t key : keys) {
-    edges.push_back({static_cast<UserId>(key >> 32),
-                     static_cast<MerchantId>(key & 0xffffffffu)});
-  }
+  edges.reserve(multiplicity_.size());
+  GraphVersion::ForEachLiveEdge(
+      *base_, delta->dead, delta->adds,
+      [&edges](UserId u, MerchantId v) { edges.push_back({u, v}); });
   base_ = std::make_shared<const CsrGraph>(CsrGraph::FromCanonicalEdges(
       config_.num_users, config_.num_merchants, edges));
   added_.clear();
   dead_.clear();
+  delta->adds.clear();
+  delta->dead.clear();
   ++stats_.compactions;
   Metrics().compactions_total->Increment();
 }
@@ -212,7 +210,8 @@ GraphVersion DynamicGraphStore::Publish() {
                static_cast<int64_t>(config_.compaction_factor *
                                     static_cast<double>(base_->num_edges())));
   const bool compact_now = pending_delta() >= threshold;
-  if (compact_now) Compact();
+  SortedDelta delta = BuildSortedDelta();
+  if (compact_now) Compact(&delta);
 
   auto rep = std::make_shared<GraphVersion::Rep>();
   rep->epoch = ++epoch_;
@@ -220,8 +219,6 @@ GraphVersion DynamicGraphStore::Publish() {
   rep->num_merchants = config_.num_merchants;
   rep->compacted = compact_now;
   rep->base = base_;
-
-  SortedDelta delta = BuildSortedDelta();
   rep->adds = std::move(delta.adds);
   rep->dead = std::move(delta.dead);
   rep->touched_users = std::move(delta.touched_users);

@@ -164,7 +164,9 @@ class DynamicGraphStore {
 
   void AddLiveEdge(UserId u, MerchantId v, IngestStats* stats);
   void EvictExpired(IngestStats* stats);
-  void Compact();
+  /// Rebuilds base_ from the live set (base_ merged with `delta`'s adds
+  /// and dead ids) and empties the delta-log, `delta` included.
+  void Compact(SortedDelta* delta);
 
   DynamicGraphStoreConfig config_;
   DynamicGraphStoreStats stats_;

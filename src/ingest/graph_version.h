@@ -88,33 +88,7 @@ class GraphVersion {
   /// `fn(UserId, MerchantId)`.
   template <typename Fn>
   void ForEachEdge(Fn&& fn) const {
-    const Rep& rep = *rep_;
-    const CsrGraph& base = *rep.base;
-    const int64_t num_base = base.num_edges();
-    const size_t num_dead = rep.dead.size();
-    const size_t num_adds = rep.adds.size();
-    size_t dead_cursor = 0;
-    size_t add_cursor = 0;
-    for (EdgeId e = 0; e < num_base; ++e) {
-      if (dead_cursor < num_dead && rep.dead[dead_cursor] == e) {
-        ++dead_cursor;
-        continue;
-      }
-      const UserId u = base.edge_user(e);
-      const MerchantId v = base.edge_merchant(e);
-      // Adds are disjoint from base, so no add equals (u, v).
-      while (add_cursor < num_adds &&
-             (rep.adds[add_cursor].user < u ||
-              (rep.adds[add_cursor].user == u &&
-               rep.adds[add_cursor].merchant < v))) {
-        fn(rep.adds[add_cursor].user, rep.adds[add_cursor].merchant);
-        ++add_cursor;
-      }
-      fn(u, v);
-    }
-    for (; add_cursor < num_adds; ++add_cursor) {
-      fn(rep.adds[add_cursor].user, rep.adds[add_cursor].merchant);
-    }
+    ForEachLiveEdge(*rep_->base, rep_->dead, rep_->adds, fn);
   }
 
   /// Replaces `*edges` with the live edge set in canonical order (one
@@ -178,6 +152,37 @@ class GraphVersion {
 
   explicit GraphVersion(std::shared_ptr<const Rep> rep)
       : rep_(std::move(rep)) {}
+
+  /// The merge behind ForEachEdge over explicit parts (`dead` and `adds`
+  /// satisfying the delta-log invariants): DynamicGraphStore compacts
+  /// from its own delta-log through it.
+  template <typename Fn>
+  static void ForEachLiveEdge(const CsrGraph& base,
+                              std::span<const EdgeId> dead,
+                              std::span<const Edge> adds, Fn&& fn) {
+    const int64_t num_base = base.num_edges();
+    size_t dead_cursor = 0;
+    size_t add_cursor = 0;
+    for (EdgeId e = 0; e < num_base; ++e) {
+      if (dead_cursor < dead.size() && dead[dead_cursor] == e) {
+        ++dead_cursor;
+        continue;
+      }
+      const UserId u = base.edge_user(e);
+      const MerchantId v = base.edge_merchant(e);
+      // Adds are disjoint from base, so no add equals (u, v).
+      while (add_cursor < adds.size() &&
+             (adds[add_cursor].user < u ||
+              (adds[add_cursor].user == u && adds[add_cursor].merchant < v))) {
+        fn(adds[add_cursor].user, adds[add_cursor].merchant);
+        ++add_cursor;
+      }
+      fn(u, v);
+    }
+    for (; add_cursor < adds.size(); ++add_cursor) {
+      fn(adds[add_cursor].user, adds[add_cursor].merchant);
+    }
+  }
 
   std::shared_ptr<const Rep> rep_;
 };

@@ -36,7 +36,7 @@ std::string ToPrometheusText(const RegistrySnapshot& snapshot);
 /// carries "help"; histograms include count, scaled sum, p50/p99/p999
 /// estimates, the occupied buckets as {"le": upper_bound, "count":
 /// cumulative}, and — when a tail exemplar exists — an "exemplar"
-/// object whose trace_id joins against the flushed timeline
+/// object whose trace_id joins against the exported timeline
 /// (trace-report consumes this to link a p999 to its span tree).
 std::string ToJson(const RegistrySnapshot& snapshot);
 

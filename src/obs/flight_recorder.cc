@@ -30,6 +30,11 @@ constexpr uint32_t kHeaderBytes = 4096;
 constexpr uint32_t kNameBytes = 64;
 constexpr uint32_t kSlotHeaderBytes = 64;
 constexpr uint32_t kReasonClaimed = 0xffffffffu;
+// Geometry the parser accepts (and Install therefore allows): corrupt
+// headers must not translate into absurd reads.
+constexpr uint32_t kMaxRingRecords = 1u << 20;
+constexpr uint32_t kMaxThreads = 4096;
+constexpr uint32_t kMaxNames = 65536;
 
 // Page 0 of the black box. All mutation after install goes through
 // std::atomic_ref (the fatal-signal handler on one thread races the
@@ -66,20 +71,22 @@ struct CrashFooter {
   char reason[180];
 };
 
-size_t SlotStride(const FlightRecorderOptions& opts) {
+size_t SlotStride(uint32_t ring_records) {
   return kSlotHeaderBytes +
-         static_cast<size_t>(opts.ring_records) * sizeof(FlightRecord);
+         static_cast<size_t>(ring_records) * sizeof(FlightRecord);
+}
+
+size_t MappedBytes(uint32_t ring_records, uint32_t max_threads,
+                   uint32_t max_names) {
+  return kHeaderBytes + static_cast<size_t>(max_names) * kNameBytes +
+         static_cast<size_t>(max_threads) * SlotStride(ring_records);
 }
 
 #if !defined(ENSEMFDET_METRICS_DISABLED) && defined(ENSEMFDET_FLIGHT_POSIX)
 
-size_t MappedBytes(const FlightRecorderOptions& opts) {
-  return kHeaderBytes + static_cast<size_t>(opts.max_names) * kNameBytes +
-         static_cast<size_t>(opts.max_threads) * SlotStride(opts);
-}
-
 struct FlightState {
-  int fd = -1;                // pre-opened; the crash path pwrite()s it
+  int fd = -1;                // pre-opened; the crash path pwrite()s it;
+                              // -1 for an in-memory ring (no black box)
   uint8_t* base = nullptr;
   size_t mapped_bytes = 0;
   FileHeader* header = nullptr;
@@ -163,7 +170,7 @@ void WriteFooterOnce(FlightState* s, int sig, const char* reason) {
 // status is the one the drill/supervisor expects.
 void FatalSignalHandler(int sig) {
   FlightState* s = g_flight_state.load(std::memory_order_acquire);
-  if (s != nullptr) {
+  if (s != nullptr && s->fd >= 0) {
     std::atomic_ref<int32_t>(s->header->crash_signal)
         .store(sig, std::memory_order_relaxed);
     MarkReasonOnce(s, "fatal signal");
@@ -193,7 +200,8 @@ uint8_t* AcquireSlot(FlightState* s) {
   const uint32_t index =
       s->next_slot.fetch_add(1, std::memory_order_relaxed);
   if (index >= s->opts.max_threads) return nullptr;
-  uint8_t* slot = s->slots + static_cast<size_t>(index) * SlotStride(s->opts);
+  uint8_t* slot = s->slots + static_cast<size_t>(index) *
+                                 SlotStride(s->opts.ring_records);
   SlotHeader* header = reinterpret_cast<SlotHeader*>(slot);
   header->tid = static_cast<uint32_t>(CurrentThreadTraceId());
   std::atomic_ref<uint32_t>(header->active)
@@ -285,37 +293,52 @@ Status InstallFlightRecorder(const FlightRecorderOptions& options) {
   return Status::NotImplemented(
       "flight recorder requires a POSIX mmap/signal environment");
 #else
-  if (options.path.empty()) {
-    return Status::InvalidArgument("flight recorder path is empty");
-  }
-  if (options.ring_records == 0 || options.max_threads == 0 ||
-      options.max_names == 0) {
+  if (options.ring_records == 0 || options.ring_records > kMaxRingRecords ||
+      options.max_threads == 0 || options.max_threads > kMaxThreads ||
+      options.max_names == 0 || options.max_names > kMaxNames) {
     return Status::InvalidArgument(
-        "flight recorder geometry must be non-zero "
-        "(ring_records/max_threads/max_names)");
+        "flight recorder geometry out of range (ring_records 1.." +
+        std::to_string(kMaxRingRecords) + ", max_threads 1.." +
+        std::to_string(kMaxThreads) + ", max_names 1.." +
+        std::to_string(kMaxNames) + ")");
   }
-  const int fd = open(options.path.c_str(), O_RDWR | O_CREAT | O_TRUNC
+  const size_t bytes = MappedBytes(options.ring_records, options.max_threads,
+                                   options.max_names);
+  int fd = -1;
+  void* base = MAP_FAILED;
+  if (options.path.empty()) {
+    // Untouched pages cost address space only: a slot sized for a long
+    // run stays small for a short one.
+    base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (base == MAP_FAILED) {
+      return Status::IOError("mmap(" + std::to_string(bytes) +
+                             " anonymous bytes) failed: " +
+                             std::strerror(errno));
+    }
+  } else {
+    fd = open(options.path.c_str(), O_RDWR | O_CREAT | O_TRUNC
 #if defined(O_CLOEXEC)
-                                                | O_CLOEXEC
+                                        | O_CLOEXEC
 #endif
-                      ,
-                      0644);
-  if (fd < 0) {
-    return Status::IOError("open(" + options.path +
-                           ") failed: " + std::strerror(errno));
-  }
-  const size_t bytes = MappedBytes(options);
-  if (ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
-    const std::string err = std::strerror(errno);
-    close(fd);
-    return Status::IOError("ftruncate(" + options.path + ") failed: " + err);
-  }
-  void* base =
-      mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  if (base == MAP_FAILED) {
-    const std::string err = std::strerror(errno);
-    close(fd);
-    return Status::IOError("mmap(" + options.path + ") failed: " + err);
+              ,
+              0644);
+    if (fd < 0) {
+      return Status::IOError("open(" + options.path +
+                             ") failed: " + std::strerror(errno));
+    }
+    if (ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
+      const std::string err = std::strerror(errno);
+      close(fd);
+      return Status::IOError("ftruncate(" + options.path +
+                             ") failed: " + err);
+    }
+    base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    if (base == MAP_FAILED) {
+      const std::string err = std::strerror(errno);
+      close(fd);
+      return Status::IOError("mmap(" + options.path + ") failed: " + err);
+    }
   }
 
   auto* state = new FlightState();  // reachable from g_flight_state
@@ -339,7 +362,7 @@ Status InstallFlightRecorder(const FlightRecorderOptions& options) {
   header->max_names = options.max_names;
   header->name_bytes = kNameBytes;
 
-  InstallSignalHandlersOnce();
+  if (fd >= 0) InstallSignalHandlersOnce();
   state->retired.reset(
       g_flight_state.exchange(state, std::memory_order_acq_rel));
   g_flight_epoch.fetch_add(1, std::memory_order_relaxed);
@@ -359,7 +382,7 @@ bool FlightRecorderInstalled() {
 void DumpFlightRecorder(const char* reason) {
 #if !defined(ENSEMFDET_METRICS_DISABLED) && defined(ENSEMFDET_FLIGHT_POSIX)
   FlightState* s = g_flight_state.load(std::memory_order_acquire);
-  if (s == nullptr) return;
+  if (s == nullptr || s->fd < 0) return;
   if (reason == nullptr) reason = "dump requested";
   MarkReasonOnce(s, reason);
   WriteFooterOnce(s, 0, reason);
@@ -378,21 +401,24 @@ const std::string& FlightDump::Name(uint32_t id) const {
   return names[id];
 }
 
-Result<FlightDump> ReadFlightDump(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("open(" + path +
-                           ") failed: " + std::strerror(errno));
-  }
-  auto fail = [&](const std::string& message) -> Status {
-    std::fclose(f);
-    return Status::IOError("flight dump " + path + ": " + message);
-  };
+namespace {
 
+// The one parser over ring bytes: a dump file read into memory
+// (ReadFlightDump) or the installed ring's own mapping
+// (SnapshotFlightRecorder). The header's geometry is checked against
+// `size` before any slot is read, so corrupt input is a Status, never an
+// out-of-bounds read. `data` is 8-byte aligned (every offset below is a
+// multiple of 64), so each slot's next_seq is loaded in place with
+// acquire: the records below it were written before its owner's release
+// store.
+Result<FlightDump> ParseFlightDump(const uint8_t* data, size_t size,
+                                   const std::string& source) {
+  auto fail = [&source](const std::string& message) -> Status {
+    return Status::IOError("flight dump " + source + ": " + message);
+  };
   FileHeader header;
-  if (std::fread(&header, sizeof(header), 1, f) != 1) {
-    return fail("truncated header");
-  }
+  if (size < kHeaderBytes) return fail("truncated header");
+  std::memcpy(&header, data, sizeof(header));
   if (std::memcmp(header.magic, kFileMagic, sizeof(header.magic)) != 0) {
     return fail("bad magic");
   }
@@ -403,11 +429,16 @@ Result<FlightDump> ReadFlightDump(const std::string& path) {
       header.name_bytes != kNameBytes) {
     return fail("geometry mismatch (record/name sizes)");
   }
-  // Corrupt geometry must not translate into absurd allocations.
-  if (header.ring_records == 0 || header.ring_records > (1u << 20) ||
-      header.max_threads == 0 || header.max_threads > 4096 ||
-      header.max_names == 0 || header.max_names > 65536) {
+  if (header.ring_records == 0 || header.ring_records > kMaxRingRecords ||
+      header.max_threads == 0 || header.max_threads > kMaxThreads ||
+      header.max_names == 0 || header.max_names > kMaxNames) {
     return fail("implausible geometry");
+  }
+  const size_t mapped =
+      MappedBytes(header.ring_records, header.max_threads, header.max_names);
+  if (size < mapped) {
+    return fail("truncated: " + std::to_string(size) + " of " +
+                std::to_string(mapped) + " bytes");
   }
 
   FlightDump dump;
@@ -423,65 +454,98 @@ Result<FlightDump> ReadFlightDump(const std::string& path) {
     dump.crash_reason.assign(header.crash_reason, n);
   }
 
-  if (std::fseek(f, kHeaderBytes, SEEK_SET) != 0) {
-    return fail("seek to name table failed");
-  }
-  dump.names.resize(header.max_names);
-  std::vector<char> name_buf(kNameBytes);
-  for (uint32_t i = 0; i < header.max_names; ++i) {
-    if (std::fread(name_buf.data(), kNameBytes, 1, f) != 1) {
-      return fail("truncated name table");
-    }
-    name_buf[kNameBytes - 1] = '\0';
-    dump.names[i] = name_buf.data();
-  }
-
-  FlightRecorderOptions geometry;
-  geometry.ring_records = header.ring_records;
-  geometry.max_threads = header.max_threads;
-  geometry.max_names = header.max_names;
-  const size_t stride = SlotStride(geometry);
-  std::vector<uint8_t> slot_buf(stride);
+  const uint8_t* names = data + kHeaderBytes;
+  const uint8_t* slots =
+      names + static_cast<size_t>(header.max_names) * kNameBytes;
+  const size_t stride = SlotStride(header.ring_records);
   for (uint32_t t = 0; t < header.max_threads; ++t) {
-    if (std::fread(slot_buf.data(), stride, 1, f) != 1) {
-      return fail("truncated thread slot " + std::to_string(t));
-    }
-    const SlotHeader* slot =
-        reinterpret_cast<const SlotHeader*>(slot_buf.data());
-    if (slot->active == 0 && slot->next_seq == 0) continue;
+    // In place, not copied: the owner thread's counters are read through
+    // atomic_ref (the parser only reads; the cast drops const for it).
+    auto* slot = reinterpret_cast<SlotHeader*>(
+        const_cast<uint8_t*>(slots + static_cast<size_t>(t) * stride));
+    const uint64_t total = std::atomic_ref<uint64_t>(slot->next_seq)
+                               .load(std::memory_order_acquire);
+    const uint32_t active = std::atomic_ref<uint32_t>(slot->active)
+                                .load(std::memory_order_acquire);
+    if (active == 0 && total == 0) continue;
     FlightDumpThread thread;
     thread.tid = slot->tid;
-    thread.total_records = slot->next_seq;
+    thread.total_records = total;
     const FlightRecord* ring = reinterpret_cast<const FlightRecord*>(
-        slot_buf.data() + kSlotHeaderBytes);
-    const uint64_t total = slot->next_seq;
-    const uint64_t first =
+        reinterpret_cast<const uint8_t*>(slot) + kSlotHeaderBytes);
+    // Keep the newest contiguous run. A record whose stamped seq
+    // disagrees with its position was torn (a crash caught the overwrite
+    // of the oldest record) or corrupted; it and everything older are
+    // dropped, so retained seqs never have a hole.
+    uint64_t first =
         total > header.ring_records ? total - header.ring_records : 0;
+    for (uint64_t seq = total; seq > first; --seq) {
+      if (ring[(seq - 1) % header.ring_records].seq != seq - 1) {
+        first = seq;
+        break;
+      }
+    }
     thread.records.reserve(static_cast<size_t>(total - first));
     for (uint64_t seq = first; seq < total; ++seq) {
-      const FlightRecord& record = ring[seq % header.ring_records];
-      // A record whose stamped seq disagrees with its slot was torn by
-      // the crash (overwrite in flight); drop it rather than report
-      // garbage.
-      if (record.seq != seq) continue;
-      thread.records.push_back(record);
+      thread.records.push_back(ring[seq % header.ring_records]);
     }
     dump.threads.push_back(std::move(thread));
+  }
+
+  // Names after the slots: a name is mirrored before the first record
+  // naming it is published.
+  dump.names.resize(header.max_names);
+  for (uint32_t i = 0; i < header.max_names; ++i) {
+    const char* name = reinterpret_cast<const char*>(
+        names + static_cast<size_t>(i) * kNameBytes);
+    dump.names[i].assign(name, std::find(name, name + kNameBytes - 1, '\0'));
   }
 
   // Footer, if the crash hook got far enough to append one (a SIGKILL
   // leaves only the rings — that is the point of mapping them).
   CrashFooter footer;
-  if (std::fread(&footer, sizeof(footer), 1, f) == 1 &&
-      std::memcmp(footer.magic, kFooterMagic, sizeof(footer.magic)) == 0) {
-    dump.has_footer = true;
-    dump.footer_signal = footer.signal;
-    const size_t n =
-        std::min<size_t>(footer.reason_len, sizeof(footer.reason));
-    dump.footer_reason.assign(footer.reason, n);
+  if (size >= mapped + sizeof(footer)) {
+    std::memcpy(&footer, data + mapped, sizeof(footer));
+    if (std::memcmp(footer.magic, kFooterMagic, sizeof(footer.magic)) == 0) {
+      dump.has_footer = true;
+      dump.footer_signal = footer.signal;
+      const size_t n =
+          std::min<size_t>(footer.reason_len, sizeof(footer.reason));
+      dump.footer_reason.assign(footer.reason, n);
+    }
   }
-  std::fclose(f);
   return dump;
+}
+
+}  // namespace
+
+Result<FlightDump> ReadFlightDump(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::IOError("open(" + path +
+                           ") failed: " + std::strerror(errno));
+  }
+  std::vector<uint8_t> bytes;
+  uint8_t chunk[1 << 16];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + n);
+  }
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) return Status::IOError("read(" + path + ") failed");
+  return ParseFlightDump(bytes.data(), bytes.size(), path);
+}
+
+Result<FlightDump> SnapshotFlightRecorder() {
+#if !defined(ENSEMFDET_METRICS_DISABLED) && defined(ENSEMFDET_FLIGHT_POSIX)
+  FlightState* s = g_flight_state.load(std::memory_order_acquire);
+  if (s != nullptr) {
+    return ParseFlightDump(s->base, s->mapped_bytes,
+                           s->opts.path.empty() ? "(memory)" : s->opts.path);
+  }
+#endif
+  return Status::FailedPrecondition("no flight recorder installed");
 }
 
 }  // namespace obs

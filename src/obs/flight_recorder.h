@@ -1,24 +1,30 @@
-// Always-on crash flight recorder (DESIGN.md "Causal tracing & flight
-// recorder").
+// The span ring (DESIGN.md "Flight recorder"): the one place a completed
+// TraceSpan is recorded.
 //
 // Every completed TraceSpan leaves one fixed-size 64-byte binary record
-// in a per-thread lock-free ring — the engine's black box. The rings live
-// directly in a pre-sized memory-mapped file, so the last-N spans per
-// thread survive *any* process death, including SIGKILL where no handler
-// can run: the kernel's page cache keeps the mapped writes regardless of
-// how the process exits. This replaces "tracing is a debugging mode" for
-// the trailing window — recording costs one thread-local ring write, no
-// locks, and is covered by the CI-gated 2% BENCH_obs budget.
+// in a per-thread lock-free ring. Recording costs one thread-local ring
+// write, no locks, and is covered by the CI-gated 2% BENCH_obs budget.
+// The ring lives in one of two places, with the same layout and the same
+// record path:
 //
-// On fatal signals (SIGSEGV/SIGBUS/SIGILL/SIGFPE/SIGABRT) an installed
-// handler additionally stamps the crash signal into the mapped header and
-// appends a footer through an async-signal-safe path: a pre-opened fd and
-// pwrite() only — no malloc, no locks, no stdio. ENSEMFDET_CHECK failures
-// and WAL-recovery IOErrors reach the same dump through
-// DumpFlightRecorder(), which may also msync (those run in normal, not
-// signal, context).
+//   * a pre-sized memory-mapped file (`path` set; CLI --flight-recorder):
+//     the crash black box. The last-N spans per thread survive *any*
+//     process death, including SIGKILL where no handler can run: the
+//     kernel's page cache keeps the mapped writes regardless of how the
+//     process exits. On fatal signals (SIGSEGV/SIGBUS/SIGILL/SIGFPE/
+//     SIGABRT) an installed handler additionally stamps the crash signal
+//     into the mapped header and appends a footer through an
+//     async-signal-safe path: a pre-opened fd and pwrite() only — no
+//     malloc, no locks, no stdio. ENSEMFDET_CHECK failures and
+//     WAL-recovery IOErrors reach the same dump through
+//     DumpFlightRecorder(), which may also msync (those run in normal, not
+//     signal, context).
+//   * anonymous memory (`path` empty; CLI --trace-out alone): no fd, no
+//     footer, no signal handlers. The CLI sizes it for the whole run and
+//     exports it as the Chrome timeline at exit (trace.h
+//     WriteChromeTrace over SnapshotFlightRecorder()).
 //
-// File layout (little-endian, offsets fixed by the header):
+// Layout (little-endian, offsets fixed by the header):
 //   [FlightFileHeader: 4096 B]  magic/version/geometry + crash marker
 //   [name table: max_names x 64 B]  interned span names, NUL-terminated
 //   [thread slots: max_threads x (64 B slot header + ring_records x 64 B)]
@@ -45,9 +51,9 @@
 namespace ensemfdet {
 namespace obs {
 
-/// One completed span in the black box. Exactly 64 bytes; written in
-/// place into the mapped ring, read back verbatim by ReadFlightDump and
-/// tools/check_trace.py --flight.
+/// One completed span in the ring. Exactly 64 bytes; written in place
+/// into the mapped ring, read back verbatim by ReadFlightDump,
+/// SnapshotFlightRecorder and tools/check_trace.py --flight.
 struct FlightRecord {
   uint64_t trace_hi = 0;
   uint64_t trace_lo = 0;
@@ -63,16 +69,19 @@ static_assert(sizeof(FlightRecord) == 64,
               "FlightRecord is the on-disk ring format; keep it 64 bytes");
 
 struct FlightRecorderOptions {
-  std::string path;
-  uint32_t ring_records = 2048;  // retained spans per thread
-  uint32_t max_threads = 32;     // ring slots; extra threads drop records
-  uint32_t max_names = 256;      // name-table capacity
+  std::string path;              // empty: anonymous memory, no black box
+  uint32_t ring_records = 2048;  // retained spans per thread (<= 2^20)
+  uint32_t max_threads = 32;     // ring slots (<= 4096); extra threads
+                                 // drop records into dropped_records
+  uint32_t max_names = 256;      // name-table capacity (<= 65536)
 };
 
-/// Creates (truncates) the black-box file, maps it, installs the fatal-
-/// signal handlers, and turns on recording. Reinstall is allowed (tests):
-/// the previous mapping is leaked deliberately so threads racing a
-/// reinstall never write through a dead pointer. Fails with
+/// Maps the ring and turns on recording. With a `path`, creates
+/// (truncates) the black-box file, maps it shared and installs the
+/// fatal-signal handlers; without one, maps anonymous memory. Reinstall
+/// is allowed (tests): the previous mapping is leaked deliberately so
+/// threads racing a reinstall never write through a dead pointer. Fails
+/// with InvalidArgument on a geometry the reader would refuse, and with
 /// FailedPrecondition when metrics are compiled out.
 Status InstallFlightRecorder(const FlightRecorderOptions& options);
 
@@ -81,7 +90,7 @@ bool FlightRecorderInstalled();
 /// Marks `reason` in the black box and appends the crash footer via the
 /// pre-opened fd, then msyncs the mapping. Safe from normal (non-signal)
 /// context; the fatal-signal path uses an internal async-signal-safe
-/// variant. No-op when no recorder is installed.
+/// variant. No-op unless a file-backed recorder is installed.
 void DumpFlightRecorder(const char* reason);
 
 namespace internal {
@@ -111,10 +120,10 @@ inline void RecordFlightSpan(const char* name, int64_t start_ns,
                                  parent_span_id);
 }
 
-/// Decoded black box, oldest-to-newest per thread.
+/// Decoded ring, oldest-to-newest per thread.
 struct FlightDumpThread {
-  uint32_t tid = 0;              // matches the trace timeline's tid
-  uint64_t total_records = 0;    // ever written; > records.size() ⇒ wrapped
+  uint32_t tid = 0;              // CurrentThreadTraceId() of the writer
+  uint64_t total_records = 0;    // ever written; > records.size() ⇒ lost
   std::vector<FlightRecord> records;
 };
 
@@ -136,8 +145,17 @@ struct FlightDump {
 
 /// Parses a black-box file (works in every build config, and on dumps
 /// from processes that died mid-write — records are fixed-size and
-/// self-describing, so the worst torn artifact is one garbled record).
+/// self-describing). Per thread it keeps the newest run of records whose
+/// stamped seq matches their slot, so retained seqs are contiguous and a
+/// torn record (and anything older) is dropped, never reported.
 Result<FlightDump> ReadFlightDump(const std::string& path);
+
+/// Parses the installed ring in place through the same parser as
+/// ReadFlightDump. Each slot's next_seq is loaded with acquire before the
+/// records below it are copied; call it only when no span is in flight
+/// (the CLI waits for its pool to go idle). FailedPrecondition when no
+/// ring is installed.
+Result<FlightDump> SnapshotFlightRecorder();
 
 }  // namespace obs
 }  // namespace ensemfdet

@@ -328,7 +328,7 @@ struct HistogramSnapshot {
 
   bool has_exemplar() const { return exemplar_value >= 0 && exemplar.valid(); }
   /// 32-hex-digit trace id of the exemplar ("" when absent) — the same
-  /// rendering the flushed timeline's args.trace_id uses, so the two
+  /// rendering the exported timeline's args.trace_id uses, so the two
   /// join directly.
   std::string ExemplarTraceId() const;
 

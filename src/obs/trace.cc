@@ -1,47 +1,18 @@
 #include "obs/trace.h"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <vector>
 
 namespace ensemfdet {
 namespace obs {
 
 namespace {
-
-struct TraceEvent {
-  uint32_t name_id;
-  char ph;  // 'X' complete, 's'/'f' flow endpoints
-  int32_t tid;
-  int64_t start_ns;
-  int64_t duration_ns;
-  uint64_t trace_hi;
-  uint64_t trace_lo;
-  uint64_t span_id;  // flow events: the flow id
-  uint64_t parent_span_id;
-};
-
-struct TraceState {
-  std::mutex mu;
-  std::vector<TraceEvent> events;
-};
-
-TraceState& State() {
-  static TraceState* state = new TraceState();  // leaked: see Global()
-  return *state;
-}
-
-bool EnvTraceEnabled() {
-  const char* value = std::getenv("ENSEMFDET_TRACE");
-  return value != nullptr && std::strcmp(value, "1") == 0;
-}
-
-std::atomic<bool> g_trace_enabled{EnvTraceEnabled()};
 
 int32_t ThreadTraceId() {
   static std::atomic<int32_t> next{0};
@@ -57,8 +28,8 @@ std::chrono::steady_clock::time_point TraceEpoch() {
 }
 
 // Interned span names: id → leaked C string, published with release so
-// lock-free readers (the flight recorder's name mirror, FlushTraceTo)
-// never see a half-written entry. Id 0 is the "(unknown)" sentinel; the
+// lock-free readers (the flight recorder's name mirror) never see a
+// half-written entry. Id 0 is the "(unknown)" sentinel; the
 // table is bounded — span names are code-shaped (a few dozen in
 // practice), so hitting the cap means a caller is interning unbounded
 // data, and collapsing to "(unknown)" beats unbounded growth.
@@ -71,12 +42,6 @@ std::map<std::string, uint32_t, std::less<>>& InternIndex() {
 }
 std::atomic<uint32_t> g_name_count{1};
 
-void AppendEvent(const TraceEvent& event) {
-  TraceState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.events.push_back(event);
-}
-
 void AppendHex(std::string* out, uint64_t value) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -85,14 +50,6 @@ void AppendHex(std::string* out, uint64_t value) {
 }
 
 }  // namespace
-
-bool TraceEnabled() {
-  return g_trace_enabled.load(std::memory_order_relaxed);
-}
-
-void SetTraceEnabled(bool enabled) {
-  g_trace_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 int64_t TraceNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -105,17 +62,23 @@ int32_t CurrentThreadTraceId() { return ThreadTraceId(); }
 uint32_t InternSpanName(std::string_view name) {
   // Fast path: span names are almost always string literals, so a tiny
   // thread-local cache keyed by the *pointer* turns the steady state
-  // into two loads. Dynamic names miss it and take the mutex below.
+  // into two loads and a short compare. The compare is what makes a
+  // reused buffer safe: a caller may rewrite the same bytes with another
+  // name of the same length, so a hit counts only when the interned copy
+  // still equals `name`. Other names take the mutex below.
   struct CacheEntry {
     const char* data;
     size_t size;
     uint32_t id;
+    const char* interned;  // the table's copy for `id`
   };
   thread_local CacheEntry cache[8] = {};
   const size_t slot =
       (reinterpret_cast<uintptr_t>(name.data()) >> 4) & (8 - 1);
-  if (cache[slot].data == name.data() && cache[slot].size == name.size()) {
-    return cache[slot].id;
+  const CacheEntry& hit = cache[slot];
+  if (hit.id != 0 && hit.data == name.data() && hit.size == name.size() &&
+      std::string_view(hit.interned, hit.size) == name) {
+    return hit.id;
   }
 
   uint32_t id = 0;
@@ -140,7 +103,11 @@ uint32_t InternSpanName(std::string_view name) {
       }
     }
   }
-  cache[slot] = CacheEntry{name.data(), name.size(), id};
+  // Id 0 (table full) is not cached: it has no copy to compare against.
+  if (id != 0) {
+    cache[slot] = CacheEntry{name.data(), name.size(), id,
+                             InternedSpanName(id)};
+  }
   return id;
 }
 
@@ -150,102 +117,39 @@ const char* InternedSpanName(uint32_t id) {
   return name != nullptr ? name : "(unknown)";
 }
 
-void AppendTraceEvent(std::string_view name, int64_t start_ns,
-                      int64_t duration_ns) {
-  if (!TraceEnabled()) return;
-  AppendEvent(TraceEvent{InternSpanName(name), 'X', ThreadTraceId(),
-                         start_ns, duration_ns, 0, 0, 0, 0});
-}
-
-void AppendSpanEvent(uint32_t name_id, int64_t start_ns, int64_t duration_ns,
-                     const TraceContext& ctx, uint64_t parent_span_id) {
-  if (!TraceEnabled()) return;
-  AppendEvent(TraceEvent{name_id, 'X', ThreadTraceId(), start_ns,
-                         duration_ns, ctx.trace_hi, ctx.trace_lo,
-                         ctx.span_id, parent_span_id});
-}
-
-void AppendFlowEvent(std::string_view name, char ph, uint64_t flow_id) {
-  if (!TraceEnabled()) return;
-  AppendEvent(TraceEvent{InternSpanName(name), ph, ThreadTraceId(),
-                         TraceNowNs(), 0, 0, 0, flow_id, 0});
-}
-
-size_t TraceEventCount() {
-  TraceState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  return state.events.size();
-}
-
-std::vector<CollectedTraceEvent> DrainTraceEvents() {
-  std::vector<TraceEvent> events;
-  {
-    TraceState& state = State();
-    std::lock_guard<std::mutex> lock(state.mu);
-    events.swap(state.events);
-  }
-  std::vector<CollectedTraceEvent> out;
-  out.reserve(events.size());
-  for (const TraceEvent& e : events) {
-    CollectedTraceEvent c;
-    c.name = InternedSpanName(e.name_id);
-    c.ph = e.ph;
-    c.tid = e.tid;
-    c.start_ns = e.start_ns;
-    c.duration_ns = e.duration_ns;
-    c.trace_hi = e.trace_hi;
-    c.trace_lo = e.trace_lo;
-    c.span_id = e.span_id;
-    c.parent_span_id = e.parent_span_id;
-    out.push_back(std::move(c));
-  }
-  return out;
-}
-
-bool FlushTraceTo(const std::string& path) {
-  std::vector<TraceEvent> events;
-  {
-    TraceState& state = State();
-    std::lock_guard<std::mutex> lock(state.mu);
-    events.swap(state.events);
-  }
+Status WriteChromeTrace(const FlightDump& dump, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
+  if (f == nullptr) {
+    return Status::IOError("cannot write trace to " + path + ": " +
+                           std::strerror(errno));
+  }
   // Chrome trace_event JSON array format, one event per line (ts/dur are
-  // microseconds). Complete events carry the causal ids in args; flow
-  // events ("s" opens at the enqueue site, "f" lands where the task
-  // runs) share an id so viewers draw the cross-thread arrow.
+  // microseconds); the causal ids ride in args.
   std::fputs("[", f);
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    const char* name = InternedSpanName(e.name_id);
-    if (e.ph == 'X') {
+  bool first = true;
+  for (const FlightDumpThread& thread : dump.threads) {
+    for (const FlightRecord& r : thread.records) {
       std::string ids = "{\"trace_id\":\"";
-      AppendHex(&ids, e.trace_hi);
-      AppendHex(&ids, e.trace_lo);
+      AppendHex(&ids, r.trace_hi);
+      AppendHex(&ids, r.trace_lo);
       ids += "\",\"span_id\":\"";
-      AppendHex(&ids, e.span_id);
+      AppendHex(&ids, r.span_id);
       ids += "\",\"parent_span_id\":\"";
-      AppendHex(&ids, e.parent_span_id);
+      AppendHex(&ids, r.parent_span_id);
       ids += "\"}";
       std::fprintf(f,
-                   "%s\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
+                   "%s\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
                    "\"ts\":%.3f,\"dur\":%.3f,\"args\":%s}",
-                   i == 0 ? "" : ",", name, e.tid, e.start_ns / 1e3,
-                   e.duration_ns / 1e3, ids.c_str());
-    } else {
-      std::string id;
-      AppendHex(&id, e.span_id);
-      std::fprintf(f,
-                   "%s\n{\"name\":\"%s\",\"cat\":\"pool\",\"ph\":\"%c\","
-                   "\"id\":\"%s\",\"pid\":1,\"tid\":%d,\"ts\":%.3f%s}",
-                   i == 0 ? "" : ",", name, e.ph, id.c_str(), e.tid,
-                   e.start_ns / 1e3, e.ph == 'f' ? ",\"bp\":\"e\"" : "");
+                   first ? "" : ",", dump.Name(r.name_id).c_str(), thread.tid,
+                   r.start_ns / 1e3, r.duration_ns / 1e3, ids.c_str());
+      first = false;
     }
   }
   std::fputs("\n]\n", f);
-  const bool ok = std::fclose(f) == 0;
-  return ok;
+  if (std::fclose(f) != 0) {
+    return Status::IOError("short write to " + path);
+  }
+  return Status::OK();
 }
 
 }  // namespace obs

@@ -5,28 +5,27 @@
 // parents to that context's innermost span; opened with no context it
 // starts a fresh trace and becomes a root.
 //
-// Three sinks, cheapest first:
+// Two sinks, both written by the destructor:
 //   * Histogram — always (runtime-enabled); tail recordings carry an
 //     exemplar trace id (metrics.h) linking a p999 back to its span tree.
-//   * Flight recorder — when installed (flight_recorder.h): one 64-byte
-//     ring write per span, the always-on black box.
-//   * Chrome timeline — when ENSEMFDET_TRACE=1 (or SetTraceEnabled):
-//     events buffered under a mutex, written by FlushTraceTo() as Chrome
-//     trace_event JSON (chrome://tracing / Perfetto). Complete events
-//     ("ph":"X") carry trace/span/parent ids in args; ThreadPool emits
-//     flow events ("ph":"s"/"f") tying an enqueue to its execution.
+//   * The span ring — when installed (flight_recorder.h): one 64-byte
+//     ring write per span. The ring is the crash black box
+//     (--flight-recorder) and the source of the Chrome timeline:
+//     WriteChromeTrace exports a snapshot of it as trace_event JSON
+//     (chrome://tracing / Perfetto), one complete event ("ph":"X") per
+//     record with trace/span/parent ids in args.
 //
 // Span names are interned into a process-lifetime table — dynamic
-// (stack- or heap-built) names are safe, the buffered events and flight
-// records hold the interned id, never the caller's pointer.
+// (stack- or heap-built) names are safe, the ring records hold the
+// interned id, never the caller's pointer.
 #ifndef ENSEMFDET_OBS_TRACE_H_
 #define ENSEMFDET_OBS_TRACE_H_
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "common/status.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
@@ -34,18 +33,12 @@
 namespace ensemfdet {
 namespace obs {
 
-/// True when ENSEMFDET_TRACE=1 was set at process start (cached) or
-/// tracing was force-enabled for tests.
-bool TraceEnabled();
-/// Test/CLI hook: overrides the environment-derived state.
-void SetTraceEnabled(bool enabled);
-
 /// Nanoseconds since the process's trace epoch (first use).
 int64_t TraceNowNs();
 
-/// The calling thread's stable id in the trace timeline (dense,
-/// first-use order). The flight recorder labels ring slots with it so a
-/// dump's threads line up with the flushed timeline's "tid" fields.
+/// The calling thread's stable id (dense, first-use order). The flight
+/// recorder labels ring slots with it; the timeline export writes it as
+/// each event's "tid".
 int32_t CurrentThreadTraceId();
 
 /// Interns `name`, returning a stable id (> 0) valid for the process
@@ -55,50 +48,15 @@ uint32_t InternSpanName(std::string_view name);
 /// The interned string for `id`; "(unknown)" for 0 or out-of-range ids.
 const char* InternedSpanName(uint32_t id);
 
-/// Appends one complete ("ph":"X") event with no causal identity. `name`
-/// is interned — dynamic names are safe (they used to have to outlive
-/// the flush). Thread-safe; no-op when tracing is off.
-void AppendTraceEvent(std::string_view name, int64_t start_ns,
-                      int64_t duration_ns);
-
-/// Appends one complete event stamped with trace/span/parent ids
-/// (TraceSpan's emission path). No-op when tracing is off.
-void AppendSpanEvent(uint32_t name_id, int64_t start_ns, int64_t duration_ns,
-                     const TraceContext& ctx, uint64_t parent_span_id);
-
-/// Appends a Chrome flow event: `ph` is 's' (flow opens at the enqueue
-/// site) or 'f' (flow lands where the task runs); the shared `flow_id`
-/// draws the arrow. No-op when tracing is off.
-void AppendFlowEvent(std::string_view name, char ph, uint64_t flow_id);
-
-/// Number of buffered events (test hook).
-size_t TraceEventCount();
-
-/// One buffered event, decoded (names resolved). ph 'X' = complete span;
-/// 's'/'f' = flow endpoints (span_id holds the flow id, duration 0).
-struct CollectedTraceEvent {
-  std::string name;
-  char ph = 'X';
-  int32_t tid = 0;
-  int64_t start_ns = 0;
-  int64_t duration_ns = 0;
-  uint64_t trace_hi = 0;
-  uint64_t trace_lo = 0;
-  uint64_t span_id = 0;
-  uint64_t parent_span_id = 0;
-};
-
-/// Removes and returns every buffered event (trace-report and tests
-/// inspect span trees programmatically through this).
-std::vector<CollectedTraceEvent> DrainTraceEvents();
-
-/// Writes the buffered timeline as Chrome trace_event JSON and clears
-/// the buffer. Returns false on I/O failure.
-bool FlushTraceTo(const std::string& path);
+/// Writes `dump` (a SnapshotFlightRecorder() or ReadFlightDump result) as
+/// Chrome trace_event JSON, one complete event per line: per thread,
+/// oldest record first, with the slot's tid and trace_id / span_id /
+/// parent_span_id args. IOError when `path` cannot be written.
+Status WriteChromeTrace(const FlightDump& dump, const std::string& path);
 
 /// RAII scope timer. On destruction records elapsed nanoseconds into
-/// `histogram` (if non-null), appends a trace event and a flight record
-/// (if `name` is non-null and the respective sink is on).
+/// `histogram` (if non-null) and writes a ring record (if `name` is
+/// non-null and a ring is installed).
 ///
 /// Link::kParent (default): the span installs itself as the thread's
 /// current context, so spans opened inside it become its children.
@@ -113,8 +71,7 @@ class TraceSpan {
   explicit TraceSpan(Histogram* histogram, const char* name = nullptr,
                      Link link = Link::kParent) {
 #if !defined(ENSEMFDET_METRICS_DISABLED)
-    trace_ = name != nullptr && TraceEnabled();
-    if (internal::RuntimeEnabled() || trace_) {
+    if (internal::RuntimeEnabled()) {
       histogram_ = histogram;
       name_ = name;
       start_ns_ = TraceNowNs();
@@ -157,10 +114,6 @@ class TraceSpan {
       histogram_->Record(elapsed_ns);
     }
     RecordFlightSpan(name_, start_ns_, elapsed_ns, ctx_, parent_span_id_);
-    if (trace_) {
-      AppendSpanEvent(InternSpanName(name_), start_ns_, elapsed_ns, ctx_,
-                      parent_span_id_);
-    }
     if (pushed_) SetCurrentTraceContext(prev_);
 #endif
   }
@@ -182,7 +135,6 @@ class TraceSpan {
   TraceContext ctx_;
   TraceContext prev_;
   uint64_t parent_span_id_ = 0;
-  bool trace_ = false;
   bool active_ = false;
   bool pushed_ = false;
 #endif

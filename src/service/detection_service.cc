@@ -211,7 +211,7 @@ void DetectionService::RunJob(const std::shared_ptr<Job>& job) {
       // Fresh trace per job: service_job becomes the root every span of
       // this detection (including ensemble member fan-out on other
       // threads) parents back to — "why was this job slow?" is one
-      // span tree in the flushed timeline.
+      // span tree in the exported timeline.
       obs::ScopedTraceContext trace_root(obs::NewRootContext());
       obs::TraceSpan run_span(metrics.job_run_seconds, "service_job");
       return Execute(*job);

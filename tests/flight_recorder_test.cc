@@ -1,11 +1,14 @@
-// Tests for the crash flight recorder (src/obs/flight_recorder.h): the
-// mmap-backed black box every TraceSpan writes into. Covers install +
-// read-back, ring wraparound retention, explicit dumps (CHECK/WAL path),
-// reinstallability, reader robustness against garbage, and — via fork —
-// the fatal-signal path end to end: a child that dies of SIGSEGV must
-// leave a parseable dump with the signal stamped in it.
+// Tests for the span ring (src/obs/flight_recorder.h): the mmap-backed
+// black box every TraceSpan writes into, and its in-memory form. Covers
+// install + read-back, ring wraparound retention, explicit dumps
+// (CHECK/WAL path), reinstallability, reader robustness against garbage,
+// the in-memory ring and its snapshot (which must equal the file reader's
+// view of a file-backed ring), and — via fork — the fatal-signal path end
+// to end: a child that dies of SIGSEGV must leave a parseable dump with
+// the signal stamped in it.
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <string>
@@ -179,6 +182,88 @@ TEST_F(FlightRecorderTest, ReaderRejectsGarbage) {
   }
   EXPECT_FALSE(ReadFlightDump(path).ok());
   EXPECT_FALSE(ReadFlightDump(path + ".does_not_exist").ok());
+  std::remove(path.c_str());
+}
+
+TEST_F(FlightRecorderTest, InMemoryRingRecordsWithoutAFile) {
+  FlightRecorderOptions options;  // no path: anonymous memory
+  options.ring_records = 8;
+  options.max_threads = 4;
+  options.max_names = 32;
+  ASSERT_TRUE(InstallFlightRecorder(options).ok());
+  EXPECT_TRUE(FlightRecorderInstalled());
+
+  Histogram h;
+  for (int i = 0; i < 11; ++i) EmitSpan(&h, "flight_memory_span");
+  // No black box to stamp: an explicit dump is a no-op.
+  DumpFlightRecorder("must not appear in an in-memory ring");
+
+  auto dump = SnapshotFlightRecorder();
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  EXPECT_EQ(dump->ring_records, 8u);
+  EXPECT_EQ(dump->max_threads, 4u);
+  EXPECT_TRUE(dump->crash_reason.empty());
+  EXPECT_FALSE(dump->has_footer);
+  EXPECT_EQ(dump->dropped_records, 0u);
+  ASSERT_EQ(dump->threads.size(), 1u);
+  const FlightDumpThread& thread = dump->threads[0];
+  EXPECT_EQ(thread.tid, static_cast<uint32_t>(CurrentThreadTraceId()));
+  EXPECT_EQ(thread.total_records, 11u);
+  ASSERT_EQ(thread.records.size(), 8u);
+  for (size_t i = 0; i < thread.records.size(); ++i) {
+    EXPECT_EQ(thread.records[i].seq, 3 + i);
+    EXPECT_EQ(dump->Name(thread.records[i].name_id), "flight_memory_span");
+  }
+}
+
+TEST_F(FlightRecorderTest, InstallRejectsGeometryTheReaderRefuses) {
+  FlightRecorderOptions options;
+  options.ring_records = (1u << 20) + 1;
+  EXPECT_EQ(InstallFlightRecorder(options).code(),
+            StatusCode::kInvalidArgument);
+  options.ring_records = 16;
+  options.max_threads = 0;
+  EXPECT_EQ(InstallFlightRecorder(options).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(FlightRecorderTest, SnapshotOfFileRingEqualsReadBack) {
+  const std::string path = NewPath("snapshot");
+  FlightRecorderOptions options;
+  options.path = path;
+  options.ring_records = 16;
+  options.max_threads = 4;
+  options.max_names = 32;
+  ASSERT_TRUE(InstallFlightRecorder(options).ok());
+  Histogram h;
+  for (int i = 0; i < 20; ++i) {
+    EmitSpan(&h, i % 2 == 0 ? "flight_snapshot_even" : "flight_snapshot_odd");
+  }
+
+  auto live = SnapshotFlightRecorder();
+  auto file = ReadFlightDump(path);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(live->ring_records, file->ring_records);
+  EXPECT_EQ(live->max_threads, file->max_threads);
+  EXPECT_EQ(live->max_names, file->max_names);
+  EXPECT_EQ(live->crash_signal, file->crash_signal);
+  EXPECT_EQ(live->crash_reason, file->crash_reason);
+  EXPECT_EQ(live->has_footer, file->has_footer);
+  EXPECT_EQ(live->dropped_records, file->dropped_records);
+  EXPECT_EQ(live->names, file->names);
+  ASSERT_EQ(live->threads.size(), file->threads.size());
+  for (size_t t = 0; t < live->threads.size(); ++t) {
+    const FlightDumpThread& a = live->threads[t];
+    const FlightDumpThread& b = file->threads[t];
+    EXPECT_EQ(a.tid, b.tid);
+    EXPECT_EQ(a.total_records, b.total_records);
+    ASSERT_EQ(a.records.size(), b.records.size());
+    EXPECT_EQ(std::memcmp(a.records.data(), b.records.data(),
+                          a.records.size() * sizeof(FlightRecord)),
+              0);
+  }
+  EXPECT_EQ(live->threads[0].records.size(), 16u);
   std::remove(path.c_str());
 }
 

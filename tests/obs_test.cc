@@ -1,7 +1,7 @@
 // Tests for the observability layer: sharded counters under concurrency,
 // log2-bucket histogram math pinned against a scalar reference, registry
 // scrape semantics (including scrape-while-recording), TraceSpan, and the
-// Prometheus/JSON export surfaces.
+// Prometheus/JSON/Chrome-trace export surfaces.
 //
 // Every value expectation is written against `obs::kMetricsCompiledIn` so
 // the ENSEMFDET_METRICS=OFF build runs the same suite and proves the API
@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/export.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -415,19 +416,20 @@ TEST_F(ObsTest, TraceSpanSkipsHistogramWhenRuntimeDisabled) {
   EXPECT_EQ(h.Count(), 0);
 }
 
-TEST_F(ObsTest, TraceEventsBufferedAndFlushed) {
+TEST_F(ObsTest, SpanRingExportsChromeTimeline) {
   if (!kMetricsCompiledIn) GTEST_SKIP() << "metrics compiled out";
-  SetTraceEnabled(true);
-  const size_t before = TraceEventCount();
+  FlightRecorderOptions options;  // no path: an in-memory ring
+  options.ring_records = 16;
+  options.max_threads = 4;
+  ASSERT_TRUE(InstallFlightRecorder(options).ok());
   {
     Histogram h;
     TraceSpan span(&h, "flush_test_span");
   }
-  EXPECT_EQ(TraceEventCount(), before + 1);
+  auto dump = SnapshotFlightRecorder();
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
   const std::string path = ::testing::TempDir() + "/obs_trace_test.json";
-  ASSERT_TRUE(FlushTraceTo(path));
-  SetTraceEnabled(false);
-  EXPECT_EQ(TraceEventCount(), 0u);
+  ASSERT_TRUE(WriteChromeTrace(*dump, path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buf;
@@ -435,6 +437,7 @@ TEST_F(ObsTest, TraceEventsBufferedAndFlushed) {
   const std::string body = buf.str();
   EXPECT_NE(body.find("flush_test_span"), std::string::npos);
   EXPECT_NE(body.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(body.find("\"parent_span_id\":\""), std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -3,9 +3,12 @@
 // through ThreadPool, and — the load-bearing invariant — that one
 // detection's span tree has the SAME shape at every pool width, because
 // members parent to the job root through the captured context and the
-// pool's own wrapper spans are detached.
+// pool's own wrapper spans are detached. Spans are read back from the
+// one place they are recorded: an in-memory span ring, fresh per test,
+// through SnapshotFlightRecorder. Also pins span-name interning.
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
@@ -16,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
@@ -24,20 +28,47 @@ namespace ensemfdet {
 namespace obs {
 namespace {
 
+// Installs a fresh in-memory span ring: the spans read back afterwards
+// are only those recorded since.
+void InstallFreshRing() {
+  FlightRecorderOptions options;  // no path: anonymous memory
+  options.ring_records = 256;
+  options.max_threads = 16;
+  ASSERT_TRUE(InstallFlightRecorder(options).ok());
+}
+
+// One span read back from the ring.
+struct RingSpan {
+  std::string name;
+  uint64_t trace_hi = 0;
+  uint64_t trace_lo = 0;
+  uint64_t span_id = 0;
+  uint64_t parent_span_id = 0;
+};
+
+// Every span in the installed ring; call only when none is in flight.
+std::vector<RingSpan> RingSpans() {
+  std::vector<RingSpan> spans;
+  auto dump = SnapshotFlightRecorder();
+  EXPECT_TRUE(dump.ok()) << dump.status().ToString();
+  if (!dump.ok()) return spans;
+  for (const FlightDumpThread& thread : dump->threads) {
+    for (const FlightRecord& r : thread.records) {
+      spans.push_back({dump->Name(r.name_id), r.trace_hi, r.trace_lo,
+                       r.span_id, r.parent_span_id});
+    }
+  }
+  return spans;
+}
+
 class TraceContextTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!kMetricsCompiledIn) GTEST_SKIP() << "metrics compiled out";
     SetMetricsRuntimeEnabled(true);
-    SetTraceEnabled(true);
-    DrainTraceEvents();  // clear residue from other tests in this binary
+    InstallFreshRing();
   }
-  void TearDown() override {
-    if (!kMetricsCompiledIn) return;
-    SetTraceEnabled(false);
-    DrainTraceEvents();
-    SetMetricsRuntimeEnabled(true);
-  }
+  void TearDown() override { SetMetricsRuntimeEnabled(true); }
 };
 
 TEST_F(TraceContextTest, NewRootContextIsValidAndUnique) {
@@ -96,9 +127,9 @@ TEST_F(TraceContextTest, NestedSpansParentCorrectly) {
     TraceSpan outer(&h, "outer_stage");
     { TraceSpan inner(&h, "inner_stage"); }
   }
-  const auto events = DrainTraceEvents();
-  const CollectedTraceEvent* outer = nullptr;
-  const CollectedTraceEvent* inner = nullptr;
+  const auto events = RingSpans();
+  const RingSpan* outer = nullptr;
+  const RingSpan* inner = nullptr;
   for (const auto& e : events) {
     if (e.name == "outer_stage") outer = &e;
     if (e.name == "inner_stage") inner = &e;
@@ -117,7 +148,7 @@ TEST_F(TraceContextTest, SpanAutoRootsWithoutInstalledContext) {
   SetCurrentTraceContext(TraceContext{});
   Histogram h;
   { TraceSpan orphanless(&h, "auto_root_span"); }
-  const auto events = DrainTraceEvents();
+  const auto events = RingSpans();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].parent_span_id, 0u);
   EXPECT_TRUE(events[0].trace_hi != 0 || events[0].trace_lo != 0);
@@ -133,8 +164,8 @@ TEST_F(TraceContextTest, DetachedSpanDoesNotBecomeParent) {
     // The detached wrapper must not have become the current parent.
     { TraceSpan child(&h, "child_span"); }
   }
-  const auto events = DrainTraceEvents();
-  std::map<std::string, const CollectedTraceEvent*> by_name;
+  const auto events = RingSpans();
+  std::map<std::string, const RingSpan*> by_name;
   for (const auto& e : events) by_name[e.name] = &e;
   ASSERT_EQ(by_name.count("job_span"), 1u);
   ASSERT_EQ(by_name.count("wrapper_span"), 1u);
@@ -146,13 +177,13 @@ TEST_F(TraceContextTest, DetachedSpanDoesNotBecomeParent) {
 }
 
 // The canonical shape of the span forest in `events`, ignoring pool
-// wrapper spans and flows: one line per span, "<root-path> of names",
-// sorted. Two runs with the same logical structure produce the same
-// string regardless of thread count, timing, or id values.
-std::string CanonicalShape(const std::vector<CollectedTraceEvent>& events) {
-  std::map<uint64_t, const CollectedTraceEvent*> by_span;
+// wrapper spans: one line per span, "<root-path> of names", sorted. Two
+// runs with the same logical structure produce the same string
+// regardless of thread count, timing, or id values.
+std::string CanonicalShape(const std::vector<RingSpan>& events) {
+  std::map<uint64_t, const RingSpan*> by_span;
   for (const auto& e : events) {
-    if (e.ph == 'X' && e.name != "pool_task") by_span[e.span_id] = &e;
+    if (e.name != "pool_task") by_span[e.span_id] = &e;
   }
   std::vector<std::string> lines;
   for (const auto& [id, e] : by_span) {
@@ -179,6 +210,7 @@ std::string CanonicalShape(const std::vector<CollectedTraceEvent>& events) {
 // out over the pool via ParallelForWorkStealing, each member opening a
 // nested stage.
 std::string RunJobAndCollectShape(int pool_width) {
+  InstallFreshRing();
   ThreadPool pool(pool_width);
   Histogram h;
   {
@@ -189,17 +221,17 @@ std::string RunJobAndCollectShape(int pool_width) {
       TraceSpan stage(&h, "test_member_stage");
     });
   }
-  // A helper that woke after every item was claimed may still be
-  // emitting its pool_task/flow events; drain only once the pool is idle.
+  // A helper that woke after every item was claimed may still be closing
+  // its pool_task span; read the ring only once the pool is idle.
   pool.WaitIdle();
-  return CanonicalShape(DrainTraceEvents());
+  return CanonicalShape(RingSpans());
 }
 
 TEST_F(TraceContextTest, SpanTreeShapeIdenticalAcrossPoolWidths) {
   // THE propagation contract: members parent to the job root through the
   // context captured at Enqueue, and pool wrapper spans are detached, so
   // the causal tree's shape is bit-identical at widths 1, 2 and 4 — only
-  // which thread ran what (and the flow arrows) may differ.
+  // which thread ran what may differ.
   const std::string shape1 = RunJobAndCollectShape(1);
   const std::string shape2 = RunJobAndCollectShape(2);
   const std::string shape4 = RunJobAndCollectShape(4);
@@ -213,45 +245,47 @@ TEST_F(TraceContextTest, SpanTreeShapeIdenticalAcrossPoolWidths) {
             std::string::npos);
 }
 
-TEST_F(TraceContextTest, PoolFlowEventsPairUp) {
-  ThreadPool pool(2);
-  Histogram h;
-  {
-    ScopedTraceContext root(NewRootContext());
-    TraceSpan job(&h, "flow_job");
-    pool.ParallelForWorkStealing(0, 8, [&](int64_t) {
-      TraceSpan member(&h, "flow_member");
-    });
-  }
-  pool.WaitIdle();  // let straggler helpers land their 'f' endpoints
-  const auto events = DrainTraceEvents();
-  std::map<uint64_t, std::pair<int, int>> flows;  // id -> (s, f)
-  for (const auto& e : events) {
-    if (e.ph == 's') flows[e.span_id].first++;
-    if (e.ph == 'f') flows[e.span_id].second++;
-  }
-  ASSERT_FALSE(flows.empty()) << "pool enqueues under a traced context "
-                                 "must emit flow arrows";
-  for (const auto& [id, counts] : flows) {
-    EXPECT_EQ(counts.first, 1) << "flow " << id;
-    EXPECT_EQ(counts.second, 1) << "flow " << id;
-  }
-}
-
 TEST_F(TraceContextTest, InternedNameOutlivesDynamicString) {
-  // Regression guard for the AppendTraceEvent footgun: the old buffer
-  // stored the caller's const char* verbatim, so any non-literal name
-  // dangled by flush time. Interning copies, so a name built on the
-  // stack and destroyed immediately must still read back intact.
+  // Interning copies, so a name built on the heap and scribbled over
+  // right after must still read back intact.
+  uint32_t id = 0;
   {
     std::string dynamic = "dynamic_span_";
     dynamic += std::to_string(12345);
-    AppendTraceEvent(dynamic, 1000, 2000);
+    id = InternSpanName(dynamic);
     dynamic.assign(64, 'X');  // scribble over the old buffer
   }
-  const auto events = DrainTraceEvents();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "dynamic_span_12345");
+  EXPECT_STREQ(InternedSpanName(id), "dynamic_span_12345");
+}
+
+TEST_F(TraceContextTest, InternSeesThroughReusedBuffer) {
+  // The intern cache is keyed by the caller's pointer and length. A
+  // buffer rewritten in place with another name of the same length is
+  // the same key, and must still intern as the new name.
+  std::string name = "aaaa_span";
+  const char* buffer = name.data();
+  const uint32_t a = InternSpanName(name);
+  name = "bbbb_span";
+  ASSERT_EQ(name.data(), buffer) << "assignment reallocated";
+  const uint32_t b = InternSpanName(name);
+  EXPECT_NE(a, b);
+  EXPECT_STREQ(InternedSpanName(a), "aaaa_span");
+  EXPECT_STREQ(InternedSpanName(b), "bbbb_span");
+}
+
+TEST_F(TraceContextTest, SpansOverOneNameBufferRecordEachName) {
+  // Dynamic span names built into one reused buffer: each span records
+  // the name the buffer held while it was open.
+  Histogram h;
+  char name[16];
+  for (int i = 0; i < 3; ++i) {
+    std::snprintf(name, sizeof(name), "member_%d", i);
+    TraceSpan span(&h, name);
+  }
+  std::multiset<std::string> names;
+  for (const RingSpan& span : RingSpans()) names.insert(span.name);
+  EXPECT_EQ(names, (std::multiset<std::string>{"member_0", "member_1",
+                                                "member_2"}));
 }
 
 TEST_F(TraceContextTest, InternRoundTripsIds) {

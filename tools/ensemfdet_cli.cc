@@ -127,6 +127,11 @@ class Flags {
 
   /// True iff the user passed the flag (does not mark it consumed).
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  /// The flag's raw value, "" when absent (does not mark it consumed).
+  std::string Peek(const std::string& key) const {
+    auto it = values_.find(key);
+    return it == values_.end() ? "" : it->second;
+  }
 
   /// Dies on flags that no Get* consulted — catches typos like --ratio
   /// where the command reads --s.
@@ -213,20 +218,21 @@ int Usage() {
       "                       workload and emits two scrapes (--out-a after\n"
       "                       the batch phase, --out-b after streaming) for\n"
       "                       counter-monotonicity checks\n"
-      "  --trace-out=FILE     with ENSEMFDET_TRACE=1, flush the Chrome\n"
-      "                       trace_event timeline (chrome://tracing);\n"
-      "                       complete events carry trace_id / span_id /\n"
-      "                       parent_span_id args, so the file is also a\n"
-      "                       causal span forest (one tree per detection)\n"
-      "                       [default ensemfdet_trace.json]\n"
+      "  --trace-out=FILE     write the Chrome trace_event timeline\n"
+      "                       (chrome://tracing) of every span the run\n"
+      "                       recorded; complete events carry trace_id /\n"
+      "                       span_id / parent_span_id args, so the file\n"
+      "                       is also a causal span forest (one tree per\n"
+      "                       detection). With --flight-recorder it is\n"
+      "                       the black box's records; stderr counts any\n"
+      "                       spans a full ring lost\n"
       "  --flight-recorder=FILE\n"
       "                       map an always-on crash black box at FILE:\n"
       "                       the last ~2k spans per thread survive any\n"
       "                       process death (even SIGKILL); inspect with\n"
-      "                       trace-report --flight=FILE (warns and runs\n"
-      "                       without it when metrics are compiled out;\n"
-      "                       not on bench-report, whose obs bench\n"
-      "                       installs its own recorder)\n"
+      "                       trace-report --flight=FILE\n"
+      "  (both warn and run without when metrics are compiled out; neither\n"
+      "  is taken by bench-report, whose obs bench installs its own ring)\n"
       "\n"
       "trace-report reads those artifacts back: per-stage self-time\n"
       "  rollups and the critical path per traced job (--trace), histogram\n"
@@ -312,15 +318,21 @@ Result<JdPreset> ParsePreset(const std::string& name) {
                           "' (want dataset1|dataset2|dataset3)");
 }
 
+// The pool the running command fans out on; main waits for it to go idle
+// before exporting the span ring.
+ThreadPool* g_command_pool = nullptr;
+
 // --threads: the pool width, 0 (the default) for the hardware-wide pool.
 ThreadPool* PoolFromFlags(Flags& flags) {
   const int threads = flags.GetIntAtLeast("threads", 0, 0);
   static std::optional<ThreadPool> owned;
   if (threads > 0) {
     owned.emplace(threads);
-    return &*owned;
+    g_command_pool = &*owned;
+  } else {
+    g_command_pool = &DefaultThreadPool();
   }
-  return &DefaultThreadPool();
+  return g_command_pool;
 }
 
 // The full ResultCache counter set (hit/miss/insertion/eviction — the
@@ -355,45 +367,81 @@ Status WriteMetricsSnapshot(const std::string& path) {
 }
 
 // End-of-command observability epilogue, run by main after any command
-// that succeeded: honor --metrics-out, and flush the trace timeline when
-// ENSEMFDET_TRACE=1 collected any events.
+// that succeeded: honor --metrics-out, and export the span ring as the
+// --trace-out timeline. The pool's last pool_task spans close on the
+// workers after the command's futures resolve, so the ring is read only
+// once the pool is idle.
 int FinishObservability(const std::string& metrics_out,
                         const std::string& trace_out) {
   if (!metrics_out.empty()) {
     Status st = WriteMetricsSnapshot(metrics_out);
     if (!st.ok()) return FailWith(st);
   }
-  if (obs::TraceEnabled() && obs::TraceEventCount() > 0) {
-    if (!obs::FlushTraceTo(trace_out)) {
-      return FailWith(Status::IOError("cannot write trace to " + trace_out));
-    }
-    std::fprintf(stderr, "[trace] timeline -> %s (chrome://tracing)\n",
-                 trace_out.c_str());
+  if (trace_out.empty() || !obs::FlightRecorderInstalled()) return 0;
+  if (g_command_pool != nullptr) g_command_pool->WaitIdle();
+  auto dump = obs::SnapshotFlightRecorder();
+  if (!dump.ok()) return FailWith(dump.status());
+  Status st = obs::WriteChromeTrace(*dump, trace_out);
+  if (!st.ok()) return FailWith(st);
+  uint64_t spans = 0;
+  uint64_t overwritten = 0;
+  for (const obs::FlightDumpThread& t : dump->threads) {
+    spans += t.records.size();
+    overwritten += t.total_records - t.records.size();
+  }
+  std::fprintf(stderr, "[trace] %llu spans -> %s (chrome://tracing)\n",
+               (unsigned long long)spans, trace_out.c_str());
+  if (overwritten + dump->dropped_records > 0) {
+    std::fprintf(stderr,
+                 "[trace] lost %llu spans: %llu overwritten in full rings "
+                 "(%u per thread), %llu from threads without a ring slot\n",
+                 (unsigned long long)(overwritten + dump->dropped_records),
+                 (unsigned long long)overwritten, dump->ring_records,
+                 (unsigned long long)dump->dropped_records);
   }
   return 0;
 }
 
-// --flight-recorder=FILE: map the always-on crash black box for this
-// process. Read by main for every command but bench-report; warns and
-// continues when metrics are compiled out so the flag is safe in
-// metrics-off CI legs.
-int MaybeInstallFlightRecorder(Flags& flags) {
+// Installs the span ring. --flight-recorder=FILE maps the crash black
+// box; --trace-out=FILE alone maps an in-memory ring sized for the whole
+// run: a slot for every thread that can record (the command pool's
+// workers, the main thread, and bench-smoke's one-worker determinism
+// pool) and 2^18 records per slot, above the ~181k spans that
+// stream-replay's busiest thread records at default flags. Warns and
+// continues when metrics are compiled out.
+int InstallSpanRing(Flags& flags, const std::string& trace_out) {
   const std::string path = flags.GetString("flight-recorder", "");
-  if (path.empty()) return 0;
+  if (path.empty() && trace_out.empty()) return 0;
   obs::FlightRecorderOptions options;
   options.path = path;
+  if (path.empty()) {
+    // A --threads that does not parse fails the command itself.
+    const long threads =
+        std::strtol(flags.Peek("threads").c_str(), nullptr, 10);
+    const long workers = threads > 0 ? threads : DefaultThreadPoolWidth();
+    options.ring_records = 1u << 18;
+    options.max_threads =
+        static_cast<uint32_t>(std::min(workers, 4094L) + 2);
+  }
   Status st = obs::InstallFlightRecorder(options);
   if (!st.ok()) {
     if (!obs::kMetricsCompiledIn) {
-      std::fprintf(stderr,
-                   "[warn] --flight-recorder=%s ignored: metrics compiled "
-                   "out (ENSEMFDET_METRICS=OFF)\n",
-                   path.c_str());
+      auto warn = [](const char* flag, const std::string& value) {
+        if (value.empty()) return;
+        std::fprintf(stderr,
+                     "[warn] --%s=%s ignored: metrics compiled out "
+                     "(ENSEMFDET_METRICS=OFF)\n",
+                     flag, value.c_str());
+      };
+      warn("flight-recorder", path);
+      warn("trace-out", trace_out);
       return 0;
     }
     return FailWith(st);
   }
-  std::fprintf(stderr, "[flight] black box -> %s\n", path.c_str());
+  if (!path.empty()) {
+    std::fprintf(stderr, "[flight] black box -> %s\n", path.c_str());
+  }
   return 0;
 }
 
@@ -1183,15 +1231,8 @@ int CmdTraceReport(Flags& flags) {
     std::ifstream in(trace_path);
     if (!in) return FailWith(Status::IOError("cannot open " + trace_path));
     std::string line;
-    size_t flows = 0;
     while (std::getline(in, line)) {
-      if (line.find("\"ph\":\"X\"") == std::string::npos) {
-        if (line.find("\"ph\":\"s\"") != std::string::npos ||
-            line.find("\"ph\":\"f\"") != std::string::npos) {
-          ++flows;
-        }
-        continue;
-      }
+      if (line.find("\"ph\":\"X\"") == std::string::npos) continue;
       ReportSpan s;
       std::string ts, dur, span_hex, parent_hex;
       if (!JsonRawField(line, "name", &s.name) ||
@@ -1211,11 +1252,8 @@ int CmdTraceReport(Flags& flags) {
       by_trace[s.trace].push_back(spans.size());
       spans.push_back(std::move(s));
     }
-    std::fprintf(stderr,
-                 "[trace-report] %s: %zu spans in %zu trace(s), %zu flow "
-                 "endpoints\n",
-                 trace_path.c_str(), spans.size(), by_trace.size(),
-                 flows);
+    std::fprintf(stderr, "[trace-report] %s: %zu spans in %zu trace(s)\n",
+                 trace_path.c_str(), spans.size(), by_trace.size());
 
     for (const auto& [trace_id, members] : by_trace) {
       const ReportSpan* root = nullptr;
@@ -1411,12 +1449,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
     return Usage();
   }
-  // The observability flags every command takes.
+  // The observability flags every command takes (bench-report leaves
+  // the ring flags unread, so they are unknown there: its obs bench
+  // installs its own ring).
   const std::string metrics_out = flags.GetString("metrics-out", "");
-  const std::string trace_out =
-      flags.GetString("trace-out", "ensemfdet_trace.json");
-  if (command != "bench-report") {  // its obs bench installs its own
-    const int rc = MaybeInstallFlightRecorder(flags);
+  std::string trace_out;
+  if (command != "bench-report") {
+    trace_out = flags.GetString("trace-out", "");
+    const int rc = InstallSpanRing(flags, trace_out);
     if (rc != 0) return rc;
   }
   const int rc = it->second(flags);
