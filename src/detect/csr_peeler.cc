@@ -270,12 +270,10 @@ void GrowNodeArrays(PeelScratch* s, int64_t users, int64_t merchants) {
   GrowTo(&s->col_weight, merchants, &grew);
   GrowTo(&s->priority, nodes, &grew);
   GrowTo(&s->removed, nodes, &grew);
-  GrowTo(&s->gone, nodes, &grew);
   if (s->heap.EnsureCapacity(nodes)) ++grew;
   ReserveTo(&s->incident_users, users, &grew);
   ReserveTo(&s->incident_merchants, merchants, &grew);
   ReserveTo(&s->removal_order, nodes, &grew);
-  GrowTo(&s->in_block_user, users, &grew);
   GrowTo(&s->in_block_merchant, merchants, &grew);
   GrowTo(&s->member_merchant_offsets, merchants + 1, &grew);
   s->grow_events += grew;
@@ -285,10 +283,9 @@ void GrowNodeArrays(PeelScratch* s, int64_t users, int64_t merchants) {
 
 int64_t PeelScratch::CapacityBytes() const {
   return Bytes(user_degree) + Bytes(merchant_degree) + Bytes(col_weight) +
-         Bytes(priority) + Bytes(removed) + Bytes(gone) +
-         heap.CapacityBytes() + Bytes(incident_users) +
-         Bytes(incident_merchants) + Bytes(removal_order) +
-         Bytes(in_block_user) + Bytes(in_block_merchant) +
+         Bytes(priority) + Bytes(removed) + heap.CapacityBytes() +
+         Bytes(incident_users) + Bytes(incident_merchants) +
+         Bytes(removal_order) + Bytes(in_block_merchant) +
          Bytes(view_weight_of) + Bytes(view_user_dense) +
          Bytes(view_merchant_dense) + Bytes(view_merchant_slot) +
          Bytes(view_alive) + Bytes(view_alive_m) + Bytes(view_user_mass) +
@@ -514,15 +511,19 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
   s.peel_sorted_pops += s.heap.sorted_pops();
 
   // Extraction in member ids (ascending ⇒ parent-ascending after the
-  // caller's translation); `gone` is all-zero between calls.
-  for (int64_t t = 0; t < best_prefix; ++t) {
-    s.gone[static_cast<size_t>(s.removal_order[static_cast<size_t>(t)])] = 1;
+  // caller's translation). The block is every incident node not removed
+  // within the best prefix: un-flag the removal suffix, and `removed` is
+  // 0 exactly on the block — nodes the mass-exhausted exit never popped
+  // are still 0 from the queue build.
+  for (size_t t = static_cast<size_t>(best_prefix);
+       t < s.removal_order.size(); ++t) {
+    s.removed[static_cast<size_t>(s.removal_order[t])] = 0;
   }
   for (UserId mu : s.incident_users) {
-    if (!s.gone[mu]) result.users.push_back(mu);
+    if (!s.removed[mu]) result.users.push_back(mu);
   }
   for (MerchantId mj : s.incident_merchants) {
-    if (!s.gone[static_cast<size_t>(num_users + mj)]) {
+    if (!s.removed[static_cast<size_t>(num_users + mj)]) {
       result.merchants.push_back(mj);
     }
   }
@@ -540,13 +541,10 @@ PeelResult CsrPeeler::PeelAliveInView(const DensityConfig& config,
     }
   }
 
-  // Restore the arena invariants (degrees and gone prefix zero, heap
-  // empty); view_alive stays with the caller.
+  // Restore the arena invariants (degrees zero, heap empty); view_alive
+  // stays with the caller.
   for (UserId mu : s.incident_users) s.user_degree[mu] = 0;
   for (MerchantId mj : s.incident_merchants) s.merchant_degree[mj] = 0;
-  for (int64_t t = 0; t < best_prefix; ++t) {
-    s.gone[static_cast<size_t>(s.removal_order[static_cast<size_t>(t)])] = 0;
-  }
   ENSEMFDET_DCHECK(s.heap.empty());
   return result;
 }

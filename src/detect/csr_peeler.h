@@ -194,27 +194,26 @@ inline constexpr int64_t kMaxViewEdges =
 /// (ensemble/ensemfdet.h).
 ///
 /// Invariants between uses (established on fresh storage and restored by
-/// every peel / view build): `user_degree`, `merchant_degree`, `gone`,
-/// `in_block_user`, `in_block_merchant` and `parent_merchant_member` are
-/// all-zero over their extent and the heap is empty.
+/// every peel / view build): `user_degree`, `merchant_degree`,
+/// `in_block_merchant` and `parent_merchant_member` are all-zero over
+/// their extent and the heap is empty.
 ///
 /// @note Thread-safety: an arena is mutable state — one per thread.
 struct PeelScratch {
   /// Node-indexed peel arrays in member-dense ids: users 0..Uₘ-1,
-  /// merchants 0..Vₘ-1, packed ids (priority, removed, gone, heap) Uₘ + j.
+  /// merchants 0..Vₘ-1, packed ids (priority, removed, heap) Uₘ + j.
   std::vector<int64_t> user_degree;
   std::vector<int64_t> merchant_degree;
   std::vector<double> col_weight;
   std::vector<double> priority;
+  /// Popped during the current peel; after it, 0 exactly on the block.
   std::vector<uint8_t> removed;
-  std::vector<uint8_t> gone;
   detail::PeelHeap heap;
   /// Nodes incident to the current peel's alive edges, ascending.
   std::vector<UserId> incident_users;
   std::vector<MerchantId> incident_merchants;
   std::vector<int64_t> removal_order;
   /// Block-membership flags for the FDET driver's edge removal.
-  std::vector<uint8_t> in_block_user;
   std::vector<uint8_t> in_block_merchant;
   /// Residual view (CsrPeeler::SetResidualView): the member's edge mask
   /// renumbered once into *member-dense* node ids — mask-incident users

@@ -149,9 +149,8 @@ FdetResult RunFdetInView(const CsrGraph& graph,
   PeelScratch& s = *scratch;
   peeler.SetResidualView(initial_residual);
 
-  const int64_t mask_size = static_cast<int64_t>(initial_residual.size());
   const int32_t member_users = static_cast<int32_t>(s.member_user_count);
-  int64_t alive_edges = mask_size;
+  int64_t alive_edges = static_cast<int64_t>(initial_residual.size());
 
   while (static_cast<int>(explored.size()) < explore_limit &&
          alive_edges > 0) {
@@ -175,26 +174,25 @@ FdetResult RunFdetInView(const CsrGraph& graph,
     explored.push_back(std::move(block));
     DetectedBlock& added = explored.back();
 
-    // Remove E_i by clearing alive flags in mask order (so the recorded
-    // block edges come out ascending). Block-membership flags live in
-    // member id space — compact.
-    for (UserId mu : peel.users) s.in_block_user[mu] = 1;
+    // Remove E_i by walking only the block users' rows: users ascend and
+    // each row's slots ascend, so the recorded block edges come out in
+    // mask order, ascending, for O(block rows) work instead of a scan of
+    // the whole mask. Merchant flags live in member id space — compact.
     for (MerchantId mj : peel.merchants) s.in_block_merchant[mj] = 1;
     int64_t removed_edges = 0;
-    for (int64_t i = 0; i < mask_size; ++i) {
-      if (!s.view_alive[static_cast<size_t>(i)]) continue;
-      const int32_t mu = s.view_user_dense[static_cast<size_t>(i)];
-      const int32_t mj =
-          s.view_merchant_dense[static_cast<size_t>(i)] - member_users;
-      if (s.in_block_user[mu] && s.in_block_merchant[mj]) {
-        added.edges.push_back(initial_residual[static_cast<size_t>(i)]);
-        s.view_alive[static_cast<size_t>(i)] = 0;
-        s.view_alive_m[static_cast<size_t>(
-            s.view_merchant_slot[static_cast<size_t>(i)])] = 0;
-        ++removed_edges;
+    for (UserId mu : peel.users) {
+      for (uint32_t i = s.member_user_offsets[mu];
+           i < s.member_user_offsets[mu + 1]; ++i) {
+        if (!s.view_alive[i]) continue;
+        const int32_t mj = s.view_merchant_dense[i] - member_users;
+        if (s.in_block_merchant[static_cast<size_t>(mj)]) {
+          added.edges.push_back(initial_residual[i]);
+          s.view_alive[i] = 0;
+          s.view_alive_m[s.view_merchant_slot[i]] = 0;
+          ++removed_edges;
+        }
       }
     }
-    for (UserId mu : peel.users) s.in_block_user[mu] = 0;
     for (MerchantId mj : peel.merchants) s.in_block_merchant[mj] = 0;
     // The peeled block always contains at least one residual edge, so the
     // loop strictly shrinks the residual and must terminate.

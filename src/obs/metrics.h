@@ -194,7 +194,11 @@ class Histogram {
     return int64_t{1} << (i - 1);
   }
 
-  void Record(int64_t value) {
+  /// Records `value`. A new maximum becomes the tail exemplar: `exemplar`
+  /// when given — a span passes its own context, since a detached span
+  /// (TraceSpan::Link::kDetached) is never current — otherwise the
+  /// calling thread's current trace context.
+  void Record(int64_t value, const TraceContext* exemplar = nullptr) {
 #if !defined(ENSEMFDET_METRICS_DISABLED)
     if (!internal::RuntimeEnabled()) return;
     if (value < 0) value = 0;
@@ -220,7 +224,8 @@ class Histogram {
     // ids, which is acceptable for a debugging pointer (exemplars are
     // best-effort by nature; exact once writers quiesce).
     if (value > exemplar_value_.load(std::memory_order_relaxed)) {
-      const TraceContext ctx = CurrentTraceContext();
+      const TraceContext ctx =
+          exemplar != nullptr ? *exemplar : CurrentTraceContext();
       if (ctx.valid()) {
         exemplar_trace_hi_.store(ctx.trace_hi, std::memory_order_relaxed);
         exemplar_trace_lo_.store(ctx.trace_lo, std::memory_order_relaxed);
@@ -230,6 +235,7 @@ class Histogram {
     }
 #else
     (void)value;
+    (void)exemplar;
 #endif
   }
 

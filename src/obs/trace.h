@@ -107,11 +107,10 @@ class TraceSpan {
 #if !defined(ENSEMFDET_METRICS_DISABLED)
     if (!active_) return;
     const int64_t elapsed_ns = TraceNowNs() - start_ns_;
-    // Record while this span is still the current context: the
-    // histogram's tail exemplar then points at this span, not its
-    // parent.
+    // The histogram's tail exemplar points at this span, not at the
+    // current context: a detached span is never current.
     if (histogram_ != nullptr && internal::RuntimeEnabled()) {
-      histogram_->Record(elapsed_ns);
+      histogram_->Record(elapsed_ns, &ctx_);
     }
     RecordFlightSpan(name_, start_ns_, elapsed_ns, ctx_, parent_span_id_);
     if (pushed_) SetCurrentTraceContext(prev_);

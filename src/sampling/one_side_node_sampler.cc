@@ -24,11 +24,8 @@ EdgeMaskInfo OneSideNodeSampler::SampleEdgeMask(
   const int64_t population =
       side_ == Side::kUser ? graph.num_users() : graph.num_merchants();
   const int64_t target = SampleTargetCount(ratio_, population);
-  scratch->SampleWithoutReplacement(rng, static_cast<uint64_t>(population),
-                                    static_cast<uint64_t>(target),
-                                    &scratch->drawn);
-  scratch->selected.assign(scratch->drawn.begin(), scratch->drawn.end());
-  std::sort(scratch->selected.begin(), scratch->selected.end());
+  scratch->DrawSorted(rng, static_cast<uint64_t>(population),
+                      static_cast<uint64_t>(target), &scratch->selected);
 
   const size_t cap_before = out_edges->capacity();
   out_edges->clear();

@@ -1,6 +1,5 @@
 #include "sampling/random_edge_sampler.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/logging.h"
@@ -28,14 +27,8 @@ EdgeMaskInfo RandomEdgeSampler::SampleEdgeMask(
   info.weight_scale = reweight_ ? 1.0 / ratio_ : 1.0;
   const int64_t num_edges = graph.num_edges();
   const int64_t target = SampleTargetCount(ratio_, num_edges);
-  scratch->SampleWithoutReplacement(rng, static_cast<uint64_t>(num_edges),
-                                    static_cast<uint64_t>(target),
-                                    &scratch->drawn);
-
-  const size_t cap_before = out_edges->capacity();
-  out_edges->assign(scratch->drawn.begin(), scratch->drawn.end());
-  std::sort(out_edges->begin(), out_edges->end());
-  if (out_edges->capacity() != cap_before) ++scratch->grow_events;
+  scratch->DrawSorted(rng, static_cast<uint64_t>(num_edges),
+                      static_cast<uint64_t>(target), out_edges);
 
   // Node counts of the equivalent child: distinct endpoint users fall out
   // of a boundary scan (edge_user is nondecreasing over the canonical edge

@@ -60,14 +60,17 @@ int64_t SampleTargetCount(double ratio, int64_t population);
 /// Per-worker scratch for SampleEdgeMask: draw buffers, selected-node
 /// lists, and epoch-stamped membership marks (indexed by parent id), all
 /// reused across calls so a warm ensemble worker samples with zero arena
-/// allocations. `grow_events` counts growths of the draw buffers and the
-/// marks (flat once warm; summed into each member's `arena_grow_events`,
-/// ensemble/ensemfdet.h).
+/// allocations. `grow_events` counts growths of the draw buffers, the
+/// marks and the draw's output (flat once warm; summed into each
+/// member's `arena_grow_events`, ensemble/ensemfdet.h).
+///
+/// Invariant between calls: `draw_bits` is all-zero.
 ///
 /// @note Thread-safety: mutable state — one instance per thread.
 struct EdgeMaskScratch {
-  std::vector<uint64_t> drawn;           ///< raw without-replacement draws
+  std::vector<uint64_t> drawn;           ///< sparse draws, selection order
   std::vector<uint32_t> fy_perm;         ///< Fisher-Yates index buffer
+  std::vector<uint64_t> draw_bits;       ///< dense draws as a bitmap
   std::vector<uint32_t> selected;        ///< sorted node ids (first side)
   std::vector<uint32_t> selected_other;  ///< sorted node ids (TNS 2nd side)
   std::vector<uint32_t> user_mark;       ///< stamp == epoch ⇔ marked
@@ -80,16 +83,18 @@ struct EdgeMaskScratch {
   uint32_t NextEpoch();
   /// Grows a mark array to `n` entries (zero-filled), counting the event.
   void EnsureMark(std::vector<uint32_t>* mark, int64_t n);
-  /// Draws `k` distinct values uniformly from [0, n) into `*out` —
-  /// consuming exactly the same rng stream, and producing exactly the
-  /// same selection-order output, as Rng::SampleWithoutReplacement. For
-  /// dense draws (k ≥ n/16, n ≤ UINT32_MAX) it runs a real Fisher-Yates
-  /// prefix over the arena-cached 32-bit `fy_perm` (no hashing, no
-  /// allocation when warm, buffer bounded by 16k entries); sparse draws
-  /// and larger populations fall through to Rng's O(k) hash-displacement
-  /// variant, so huge populations cost O(k).
-  void SampleWithoutReplacement(Rng* rng, uint64_t n, uint64_t k,
-                                std::vector<uint64_t>* out);
+  /// Draws `k` distinct values uniformly from [0, n) into `*out`
+  /// (cleared first), ascending — the set Rng::SampleWithoutReplacement
+  /// draws, for exactly the same rng consumption. Dense draws
+  /// (k ≥ n/16, n ≤ UINT32_MAX) run a real Fisher-Yates prefix over the
+  /// arena-cached `fy_perm` (refreshed to the identity, one sequential
+  /// O(n) pass), mark each draw in `draw_bits` and emit them in one scan
+  /// of ⌈n/64⌉ words, no sort (buffers bounded by 16k entries).
+  /// Sparse draws and larger populations run Rng's O(k)
+  /// hash-displacement variant and sort its k draws, so huge populations
+  /// cost O(k log k). `T` is uint32_t (node ids) or EdgeId.
+  template <typename T>
+  void DrawSorted(Rng* rng, uint64_t n, uint64_t k, std::vector<T>* out);
   /// Bytes of buffer capacity the scratch holds.
   int64_t CapacityBytes() const;
 };

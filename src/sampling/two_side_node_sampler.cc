@@ -1,6 +1,5 @@
 #include "sampling/two_side_node_sampler.h"
 
-#include <algorithm>
 #include <vector>
 
 namespace ensemfdet {
@@ -25,18 +24,14 @@ EdgeMaskInfo TwoSideNodeSampler::SampleEdgeMask(
   EdgeMaskInfo info;
   // Draw order (users first, then merchants) must match Sample() so both
   // faces consume the identical rng stream.
-  scratch->SampleWithoutReplacement(
+  scratch->DrawSorted(
       rng, static_cast<uint64_t>(graph.num_users()),
       static_cast<uint64_t>(SampleTargetCount(ratio_, graph.num_users())),
-      &scratch->drawn);
-  scratch->selected.assign(scratch->drawn.begin(), scratch->drawn.end());
-  std::sort(scratch->selected.begin(), scratch->selected.end());
-  scratch->SampleWithoutReplacement(
+      &scratch->selected);
+  scratch->DrawSorted(
       rng, static_cast<uint64_t>(graph.num_merchants()),
       static_cast<uint64_t>(SampleTargetCount(ratio_, graph.num_merchants())),
-      &scratch->drawn);
-  scratch->selected_other.assign(scratch->drawn.begin(),
-                                 scratch->drawn.end());
+      &scratch->selected_other);
 
   // TNS keeps every selected node (isolated or not) in the child, so the
   // counts are simply the draw sizes (draws are duplicate-free).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -202,6 +204,44 @@ TEST(TwoSideNodeSamplerTest, EdgeCountScalesAsRatioSquared) {
   const double avg_fraction =
       total / kTrials / static_cast<double>(g.num_edges());
   EXPECT_NEAR(avg_fraction, 0.25, 0.06);  // S² = 0.25
+}
+
+// The mask samplers' draw: the set Rng::SampleWithoutReplacement draws,
+// ascending, for exactly its rng consumption, on both sides of the
+// dense/sparse split. One scratch serves every draw while the population
+// shrinks and grows, so each dense draw starts from the bitmap the
+// previous one re-zeroed.
+template <typename T>
+void ExpectDrawSortedMatchesRng(EdgeMaskScratch* scratch, uint64_t n,
+                                uint64_t k, uint64_t seed) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+  Rng reference(seed);
+  Rng rng(seed);
+  std::vector<uint64_t> want = reference.SampleWithoutReplacement(n, k);
+  std::sort(want.begin(), want.end());
+  std::vector<T> got = {T{7}};  // stale content must be cleared
+  scratch->DrawSorted(&rng, n, k, &got);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(static_cast<uint64_t>(got[i]), want[i]) << "draw " << i;
+  }
+  EXPECT_EQ(rng.NextUint64(), reference.NextUint64()) << "rng stream moved";
+  for (uint64_t word : scratch->draw_bits) ASSERT_EQ(word, 0u);
+}
+
+TEST(EdgeMaskScratchTest, DrawSortedIsTheRngDrawAscending) {
+  EdgeMaskScratch scratch;
+  uint64_t seed = 1;
+  for (uint64_t n : {1, 2, 1000, 2, 1, 1000}) {
+    // k = n/16 − 1 is the largest sparse draw, n/16 the smallest dense
+    // one (for n < 16 every draw is dense and n/16 − 1 wraps: skipped).
+    for (uint64_t k : {uint64_t{0}, uint64_t{1}, n / 16 - 1, n / 16, n}) {
+      if (k > n) continue;
+      ExpectDrawSortedMatchesRng<uint32_t>(&scratch, n, k, seed++);
+      ExpectDrawSortedMatchesRng<EdgeId>(&scratch, n, k, seed++);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(SamplerTest, AllMethodsProduceValidSubgraphIds) {

@@ -176,6 +176,23 @@ TEST_F(TraceContextTest, DetachedSpanDoesNotBecomeParent) {
             by_name["job_span"]->span_id);
 }
 
+TEST_F(TraceContextTest, DetachedSpanExemplarNamesItself) {
+  // A detached span never becomes the current context, so the tail
+  // exemplar of its histogram must come from the span, not the context.
+  Histogram h;
+  TraceContext wrapper_ctx;
+  {
+    ScopedTraceContext root(NewRootContext());
+    TraceSpan job(nullptr, "job_span");
+    TraceSpan wrapper(&h, "wrapper_span", TraceSpan::Link::kDetached);
+    wrapper_ctx = wrapper.context();
+  }
+  const TraceContext exemplar = h.ExemplarContext();
+  EXPECT_EQ(exemplar.span_id, wrapper_ctx.span_id);
+  EXPECT_EQ(exemplar.trace_hi, wrapper_ctx.trace_hi);
+  EXPECT_EQ(exemplar.trace_lo, wrapper_ctx.trace_lo);
+}
+
 // The canonical shape of the span forest in `events`, ignoring pool
 // wrapper spans: one line per span, "<root-path> of names", sorted. Two
 // runs with the same logical structure produce the same string

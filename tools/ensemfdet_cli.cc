@@ -42,6 +42,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <system_error>
 #include <memory>
 #include <map>
@@ -1205,12 +1206,55 @@ bool JsonRawField(const std::string& line, const std::string& key,
 
 struct ReportSpan {
   std::string name;
-  double ts = 0;   // microseconds, trace epoch
-  double dur = 0;
+  int64_t start_ns = 0;  // trace epoch
+  int64_t dur_ns = 0;
+  int64_t tid = 0;
   std::string trace;  // 32-hex trace id
   uint64_t span = 0;
   uint64_t parent = 0;
+  int64_t end_ns() const { return start_ns + dur_ns; }
 };
+
+// The exporter writes ts/dur as microseconds with three decimals: integer
+// nanoseconds, recovered exactly.
+int64_t MicrosToNanos(const std::string& micros) {
+  return std::llround(std::atof(micros.c_str()) * 1e3);
+}
+
+// For each span, the spans that ran directly inside it on its own thread:
+// its children in the thread's nesting forest. A thread's spans nest
+// (each closes before its enclosing span), and the exporter writes a
+// thread's records in close order, so among spans with equal intervals
+// the later record encloses the earlier.
+std::vector<std::vector<size_t>> SameThreadChildren(
+    const std::vector<ReportSpan>& spans) {
+  std::map<int64_t, std::vector<size_t>> by_tid;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    by_tid[spans[i].tid].push_back(i);
+  }
+  std::vector<std::vector<size_t>> nested(spans.size());
+  for (auto& [tid, order] : by_tid) {
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (spans[a].start_ns != spans[b].start_ns) {
+        return spans[a].start_ns < spans[b].start_ns;
+      }
+      if (spans[a].end_ns() != spans[b].end_ns()) {
+        return spans[a].end_ns() > spans[b].end_ns();
+      }
+      return a > b;  // closed later: the outer one
+    });
+    std::vector<size_t> open;  // enclosing spans, innermost last
+    for (size_t i : order) {
+      while (!open.empty() &&
+             spans[i].end_ns() > spans[open.back()].end_ns()) {
+        open.pop_back();
+      }
+      if (!open.empty()) nested[open.back()].push_back(i);
+      open.push_back(i);
+    }
+  }
+  return nested;
+}
 
 int CmdTraceReport(Flags& flags) {
   const std::string trace_path = flags.GetString("trace", "");
@@ -1234,8 +1278,9 @@ int CmdTraceReport(Flags& flags) {
     while (std::getline(in, line)) {
       if (line.find("\"ph\":\"X\"") == std::string::npos) continue;
       ReportSpan s;
-      std::string ts, dur, span_hex, parent_hex;
+      std::string tid, ts, dur, span_hex, parent_hex;
       if (!JsonRawField(line, "name", &s.name) ||
+          !JsonRawField(line, "tid", &tid) ||
           !JsonRawField(line, "ts", &ts) ||
           !JsonRawField(line, "dur", &dur) ||
           !JsonRawField(line, "trace_id", &s.trace) ||
@@ -1245,8 +1290,9 @@ int CmdTraceReport(Flags& flags) {
                      trace_path.c_str(), line.c_str());
         return 1;
       }
-      s.ts = std::atof(ts.c_str());
-      s.dur = std::atof(dur.c_str());
+      s.tid = std::atoll(tid.c_str());
+      s.start_ns = MicrosToNanos(ts);
+      s.dur_ns = MicrosToNanos(dur);
       s.span = std::strtoull(span_hex.c_str(), nullptr, 16);
       s.parent = std::strtoull(parent_hex.c_str(), nullptr, 16);
       by_trace[s.trace].push_back(spans.size());
@@ -1254,6 +1300,7 @@ int CmdTraceReport(Flags& flags) {
     }
     std::fprintf(stderr, "[trace-report] %s: %zu spans in %zu trace(s)\n",
                  trace_path.c_str(), spans.size(), by_trace.size());
+    const std::vector<std::vector<size_t>> nested = SameThreadChildren(spans);
 
     for (const auto& [trace_id, members] : by_trace) {
       const ReportSpan* root = nullptr;
@@ -1265,27 +1312,34 @@ int CmdTraceReport(Flags& flags) {
       }
       if (root == nullptr) continue;  // torn file; check_trace.py flags it
 
-      // Self time per stage: own duration minus the union of direct
-      // children's intervals (children overlap when they ran in parallel
-      // on the pool, so merge before subtracting).
+      // Self time per stage: own duration minus the union of the
+      // intervals of its causal children and of the spans that ran inside
+      // it on its own thread. The second set covers a detached span such
+      // as pool_task, which has no causal children but runs the members
+      // parented to the job. Intervals overlap (members run in parallel
+      // on the pool; a member nested on the span's thread is often its
+      // causal child too), so merge before subtracting.
       struct Rollup {
-        double self_us = 0;
+        int64_t self_ns = 0;
         int64_t count = 0;
       };
       std::map<std::string, Rollup> rollups;
       for (size_t i : members) {
         const ReportSpan& s = spans[i];
-        std::vector<std::pair<double, double>> intervals;
+        std::vector<std::pair<int64_t, int64_t>> intervals;
+        auto add = [&](const ReportSpan& c) {
+          const int64_t lo = std::max(c.start_ns, s.start_ns);
+          const int64_t hi = std::min(c.end_ns(), s.end_ns());
+          if (hi > lo) intervals.emplace_back(lo, hi);
+        };
         auto it = children.find(s.span);
         if (it != children.end()) {
-          for (const ReportSpan* c : it->second) {
-            const double lo = std::max(c->ts, s.ts);
-            const double hi = std::min(c->ts + c->dur, s.ts + s.dur);
-            if (hi > lo) intervals.emplace_back(lo, hi);
-          }
+          for (const ReportSpan* c : it->second) add(*c);
         }
+        for (size_t c : nested[i]) add(spans[c]);
         std::sort(intervals.begin(), intervals.end());
-        double covered = 0, end = -1;
+        int64_t covered = 0;
+        int64_t end = std::numeric_limits<int64_t>::min();
         for (const auto& [lo, hi] : intervals) {
           if (lo > end) {
             covered += hi - lo;
@@ -1296,38 +1350,41 @@ int CmdTraceReport(Flags& flags) {
           }
         }
         Rollup& r = rollups[s.name];
-        r.self_us += std::max(0.0, s.dur - covered);
+        r.self_ns += std::max<int64_t>(0, s.dur_ns - covered);
         r.count += 1;
       }
 
       std::printf("trace %s  root=%s  total=%.3fms  spans=%zu\n",
-                  trace_id.c_str(), root->name.c_str(), root->dur / 1e3,
+                  trace_id.c_str(), root->name.c_str(), root->dur_ns / 1e6,
                   members.size());
       std::vector<std::pair<std::string, Rollup>> ranked(rollups.begin(),
                                                          rollups.end());
       std::sort(ranked.begin(), ranked.end(), [](const auto& a,
                                                  const auto& b) {
-        return a.second.self_us > b.second.self_us;
+        return a.second.self_ns > b.second.self_ns;
       });
       std::printf("  %-28s %6s %12s %6s\n", "stage", "count", "self_ms",
                   "%root");
       for (size_t i = 0; i < ranked.size() && i < (size_t)top; ++i) {
         const auto& [name, r] = ranked[i];
         std::printf("  %-28s %6lld %12.3f %5.1f%%\n", name.c_str(),
-                    (long long)r.count, r.self_us / 1e3,
-                    root->dur > 0 ? 100.0 * r.self_us / root->dur : 0.0);
+                    (long long)r.count, r.self_ns / 1e6,
+                    root->dur_ns > 0
+                        ? 100.0 * static_cast<double>(r.self_ns) /
+                              static_cast<double>(root->dur_ns)
+                        : 0.0);
       }
       // Critical path: descend into the child that finishes last — the
       // chain that bounded this job's wall clock.
       std::printf("  critical path:");
       const ReportSpan* node = root;
       for (;;) {
-        std::printf(" %s(%.3fms)", node->name.c_str(), node->dur / 1e3);
+        std::printf(" %s(%.3fms)", node->name.c_str(), node->dur_ns / 1e6);
         auto it = children.find(node->span);
         if (it == children.end()) break;
         const ReportSpan* last = nullptr;
         for (const ReportSpan* c : it->second) {
-          if (last == nullptr || c->ts + c->dur > last->ts + last->dur) {
+          if (last == nullptr || c->end_ns() > last->end_ns()) {
             last = c;
           }
         }
