@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -96,50 +97,60 @@ struct MemberArena {
 
 thread_local MemberArena t_member_arena;
 
-// Validation + sampler construction shared by both ensemble entry points
-// (Run / RunMember): one definition of what a legal config is and of the
-// sampler members draw from.
-Result<std::unique_ptr<Sampler>> ValidatedSampler(
+// What a legal config is and which sampler its members draw from.
+Result<std::shared_ptr<const Sampler>> ValidatedSampler(
     const EnsemFDetConfig& config) {
   if (config.num_samples < 1) {
     return Status::InvalidArgument("num_samples (N) must be >= 1, got " +
                                    std::to_string(config.num_samples));
   }
-  return MakeSampler(config.method, config.ratio, config.reweight_edges);
+  ENSEMFDET_ASSIGN_OR_RETURN(
+      std::unique_ptr<Sampler> sampler,
+      MakeSampler(config.method, config.ratio, config.reweight_edges));
+  return std::shared_ptr<const Sampler>(std::move(sampler));
 }
 
-// The zero-materialization member core shared by Run() and RunMember():
-// sample an edge mask of the shared parent, run masked FDET in place on
-// the worker arena, record the sample stats. Everything is in parent ids
-// from the start — no SubgraphView, no ToParentUser remap. Keeping this
-// single-sourced is what makes the two entry points' members identical by
+// The zero-materialization member core, in two halves shared by every
+// entry point (Run's members, RunMember, DrawMember, RunMemberOnSample):
+// sample an edge mask of the shared parent into the worker arena, then run
+// masked FDET over a mask in place. Everything is in parent ids from the
+// start — no SubgraphView, no ToParentUser remap. Keeping each half
+// single-sourced is what makes every entry point's members identical by
 // construction (the streaming parity contract rests on it).
-Result<FdetResult> RunMemberCsrCore(const CsrGraph& graph,
-                                    const Sampler& sampler,
-                                    const FdetConfig& fdet_config, Rng* rng,
-                                    MemberArena* arena,
-                                    EnsemFDetReport::MemberStats* stats) {
+EdgeMaskInfo DrawMemberMask(const CsrGraph& graph, const Sampler& sampler,
+                            Rng rng, MemberArena* arena) {
   DetectMetrics& metrics = Metrics();
   metrics.members_total->Increment();
   EdgeMaskInfo info;
   {
     obs::TraceSpan span(metrics.member_sample_seconds, "member_sample");
-    info = sampler.SampleEdgeMask(graph, rng, &arena->sample, &arena->mask);
+    info = sampler.SampleEdgeMask(graph, &rng, &arena->sample, &arena->mask);
   }
+  arena->UpdateGauge();
+  return info;
+}
+
+Result<FdetResult> PeelMemberMask(const CsrGraph& graph,
+                                  std::span<const EdgeId> mask,
+                                  const EdgeMaskInfo& info,
+                                  const FdetConfig& fdet_config,
+                                  MemberArena* arena,
+                                  EnsemFDetReport::MemberStats* stats) {
   stats->sample_users = info.sample_users;
   stats->sample_merchants = info.sample_merchants;
-  stats->sample_edges = static_cast<int64_t>(arena->mask.size());
-  obs::TraceSpan span(metrics.member_peel_seconds, "member_peel");
-  Result<FdetResult> fdet = RunFdetCsrMasked(
-      graph, arena->mask, info.weight_scale, fdet_config, &arena->peel);
+  stats->sample_edges = static_cast<int64_t>(mask.size());
+  obs::TraceSpan span(Metrics().member_peel_seconds, "member_peel");
+  Result<FdetResult> fdet = RunFdetCsrMasked(graph, mask, info.weight_scale,
+                                             fdet_config, &arena->peel);
   arena->UpdateGauge();
   if (fdet.ok()) stats->num_blocks = fdet->truncation_index;
   return fdet;
 }
 
-// Run()'s member: the core above plus vote flattening — each detected
-// node once, with the max φ over the blocks containing it (nodes can sit
-// in several blocks: blocks are edge-disjoint, not vertex-disjoint).
+// Run()'s member: both halves over the arena's own mask, then vote
+// flattening — each detected node once, with the max φ over the blocks
+// containing it (nodes can sit in several blocks: blocks are
+// edge-disjoint, not vertex-disjoint).
 MemberOutput RunMemberCsr(const CsrGraph& graph, const Sampler& sampler,
                           const FdetConfig& fdet_config, Rng member_rng) {
   MemberArena& arena = t_member_arena;
@@ -147,8 +158,9 @@ MemberOutput RunMemberCsr(const CsrGraph& graph, const Sampler& sampler,
   WallTimer timer;
   const int64_t grow_before = arena.TotalGrowEvents();
 
-  Result<FdetResult> fdet = RunMemberCsrCore(graph, sampler, fdet_config,
-                                             &member_rng, &arena, &out.stats);
+  const EdgeMaskInfo info = DrawMemberMask(graph, sampler, member_rng, &arena);
+  Result<FdetResult> fdet = PeelMemberMask(graph, arena.mask, info,
+                                           fdet_config, &arena, &out.stats);
   if (!fdet.ok()) {
     out.status = fdet.status();
     return out;
@@ -200,10 +212,13 @@ Result<EnsemFDetReport> Aggregate(std::vector<MemberOutput> outputs,
 
 }  // namespace
 
+EnsemFDet::EnsemFDet(EnsemFDetConfig config)
+    : config_(std::move(config)), sampler_(ValidatedSampler(config_)) {}
+
 Result<EnsemFDetReport> EnsemFDet::Run(const CsrGraph& graph,
                                        ThreadPool* pool) const {
-  ENSEMFDET_ASSIGN_OR_RETURN(std::unique_ptr<Sampler> sampler,
-                             ValidatedSampler(config_));
+  if (!sampler_.ok()) return sampler_.status();
+  const Sampler& sampler = **sampler_;
 
   DetectMetrics& metrics = Metrics();
   metrics.runs_total->Increment();
@@ -217,9 +232,8 @@ Result<EnsemFDetReport> EnsemFDet::Run(const CsrGraph& graph,
   // size), so wide pools use the work-stealing split.
   std::vector<MemberOutput> outputs(static_cast<size_t>(n));
   ForEachOnPool(pool, n, [&](int64_t i) {
-    outputs[static_cast<size_t>(i)] =
-        RunMemberCsr(graph, *sampler, config_.fdet,
-                     root.Split(static_cast<uint64_t>(i)));
+    outputs[static_cast<size_t>(i)] = RunMemberCsr(
+        graph, sampler, config_.fdet, root.Split(static_cast<uint64_t>(i)));
   });
 
   return Aggregate(std::move(outputs), graph.num_users(),
@@ -233,24 +247,46 @@ Result<EnsemFDetReport> EnsemFDet::Run(const BipartiteGraph& graph,
 
 Result<EnsembleMemberBlocks> EnsemFDet::RunMember(const CsrGraph& graph,
                                                   int member) const {
-  ENSEMFDET_ASSIGN_OR_RETURN(std::unique_ptr<Sampler> sampler,
-                             ValidatedSampler(config_));
+  ENSEMFDET_ASSIGN_OR_RETURN(MemberSample sample,
+                             DrawMember(graph, config_.seed, member));
+  ENSEMFDET_ASSIGN_OR_RETURN(EnsembleMemberBlocks out,
+                             RunMemberOnSample(graph, sample));
+  out.stats.seconds += sample.seconds;
+  out.stats.arena_grow_events += sample.arena_grow_events;
+  return out;
+}
+
+Result<MemberSample> EnsemFDet::DrawMember(const CsrGraph& graph,
+                                           uint64_t seed, int member) const {
+  if (!sampler_.ok()) return sampler_.status();
   if (member < 0 || member >= config_.num_samples) {
     return Status::InvalidArgument(
         "member index " + std::to_string(member) + " outside [0, " +
         std::to_string(config_.num_samples) + ")");
   }
-  // Exactly RunMemberCsr minus the vote flattening: the shared member
-  // core keeps the sampling randomness and per-member FDET identical to
-  // member `member` of Run() by construction.
+  MemberArena& arena = t_member_arena;
+  MemberSample out;
+  WallTimer timer;
+  const int64_t grow_before = arena.TotalGrowEvents();
+  out.info = DrawMemberMask(graph, **sampler_,
+                            Rng(seed).Split(static_cast<uint64_t>(member)),
+                            &arena);
+  out.mask.assign(arena.mask.begin(), arena.mask.end());
+  out.arena_grow_events = arena.TotalGrowEvents() - grow_before;
+  out.seconds = timer.ElapsedSeconds();
+  return out;
+}
+
+Result<EnsembleMemberBlocks> EnsemFDet::RunMemberOnSample(
+    const CsrGraph& graph, const MemberSample& sample) const {
+  if (!sampler_.ok()) return sampler_.status();
   MemberArena& arena = t_member_arena;
   EnsembleMemberBlocks out;
   WallTimer timer;
   const int64_t grow_before = arena.TotalGrowEvents();
-  Rng member_rng = Rng(config_.seed).Split(static_cast<uint64_t>(member));
   ENSEMFDET_ASSIGN_OR_RETURN(
-      FdetResult fdet, RunMemberCsrCore(graph, *sampler, config_.fdet,
-                                        &member_rng, &arena, &out.stats));
+      FdetResult fdet, PeelMemberMask(graph, sample.mask, sample.info,
+                                      config_.fdet, &arena, &out.stats));
   out.blocks = std::move(fdet.blocks);
   out.stats.arena_grow_events = arena.TotalGrowEvents() - grow_before;
   out.stats.seconds = timer.ElapsedSeconds();

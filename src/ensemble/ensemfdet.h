@@ -25,6 +25,7 @@
 #define ENSEMFDET_ENSEMBLE_ENSEMFDET_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -109,9 +110,23 @@ struct EnsembleMemberBlocks {
   EnsemFDetReport::MemberStats stats;
 };
 
+/// One ensemble member's drawn sample (EnsemFDet::DrawMember): the
+/// ascending mask of the graph's edge ids the member peels, what the
+/// sampler reported with it, and what the draw cost. Equal masks of one
+/// graph and sampler carry equal `info` (node counts and weight scale
+/// follow from the mask), so they are one FDET input.
+struct MemberSample {
+  std::vector<EdgeId> mask;
+  EdgeMaskInfo info;
+  double seconds = 0.0;           ///< the draw's wall time
+  int64_t arena_grow_events = 0;  ///< worker-arena growths in the draw
+};
+
 class EnsemFDet {
  public:
-  explicit EnsemFDet(EnsemFDetConfig config) : config_(std::move(config)) {}
+  /// Builds the sampler every member of every call draws from. A bad
+  /// N or S fails each call below with InvalidArgument.
+  explicit EnsemFDet(EnsemFDetConfig config);
 
   const EnsemFDetConfig& config() const { return config_; }
 
@@ -137,19 +152,39 @@ class EnsemFDet {
                               ThreadPool* pool = nullptr) const;
 
   /// Runs member `member` (in [0, N)) of Run() alone, on the calling
-  /// thread: the same sampling randomness (Rng(seed).Split(member)),
-  /// per-member FDET, zero-materialization hot path and worker arena, but
-  /// returns the member's raw block list instead of its votes. The
-  /// streaming detector schedules every (component, member) pair of a
-  /// report through this in one pass over the pool, caches the blocks per
-  /// component and re-aggregates them under a cross-component truncation
-  /// rule (ingest/streaming_detector.h).
+  /// thread: RunMemberOnSample(graph, DrawMember(graph, config().seed,
+  /// member)) — the same sampling randomness, per-member FDET and worker
+  /// arena as Run()'s member, but returning the raw block list instead of
+  /// votes. `stats.seconds` and `stats.arena_grow_events` sum both halves.
   /// Fails with InvalidArgument on a bad config or member index.
   Result<EnsembleMemberBlocks> RunMember(const CsrGraph& graph,
                                          int member) const;
 
+  /// RunMember's draw half: member `member`'s sample of `graph`, drawn
+  /// with Rng(seed).Split(member) into the calling thread's worker arena
+  /// (the `member_sample` span and histogram) and copied out. `seed`
+  /// stands in for config().seed, so one ensemble, and one sampler, can
+  /// draw for many seeded sub-ensembles: the streaming detector draws
+  /// every component's members through one EnsemFDet, then peels each
+  /// distinct sample once (ingest/streaming_detector.h).
+  /// Fails with InvalidArgument on a bad config or member index.
+  Result<MemberSample> DrawMember(const CsrGraph& graph, uint64_t seed,
+                                  int member) const;
+
+  /// RunMember's FDET half: masked FDET over `sample` in the calling
+  /// thread's worker arena (the `member_peel` span and histogram). A pure
+  /// function of (graph, sample.mask, sample.info, config().fdet), so
+  /// members whose masks are equal may share one call. `stats` carries
+  /// the sample's node and edge counts, k̂, and this call's own wall time
+  /// and arena growth.
+  /// @pre `sample` was drawn from `graph` by this ensemble's sampler.
+  Result<EnsembleMemberBlocks> RunMemberOnSample(
+      const CsrGraph& graph, const MemberSample& sample) const;
+
  private:
   EnsemFDetConfig config_;
+  // Shared so EnsemFDet stays copyable; samplers are stateless.
+  Result<std::shared_ptr<const Sampler>> sampler_;
 };
 
 }  // namespace ensemfdet

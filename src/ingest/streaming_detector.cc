@@ -35,6 +35,7 @@ struct StreamMetrics {
   obs::Counter* components_touched_total;
   obs::Counter* edges_total;
   obs::Counter* edges_recomputed_total;
+  obs::Counter* members_shared_total;
   obs::Counter* cache_hits_total;
   obs::Counter* cache_misses_total;
   obs::Counter* cache_insertions_total;
@@ -58,6 +59,9 @@ StreamMetrics& Metrics() {
       reg.GetCounter("ensemfdet_stream_components_touched_total"),
       reg.GetCounter("ensemfdet_stream_edges_total"),
       reg.GetCounter("ensemfdet_stream_edges_recomputed_total"),
+      reg.GetCounter("ensemfdet_stream_members_shared_total",
+                     "Recomputed (component, member) pairs whose sample "
+                     "equalled a lower member's and reused its FDET run."),
       reg.GetCounter("ensemfdet_stream_cache_hits_total"),
       reg.GetCounter("ensemfdet_stream_cache_misses_total"),
       reg.GetCounter("ensemfdet_stream_cache_insertions_total"),
@@ -87,41 +91,50 @@ uint64_t ComponentFingerprint(std::span<const Edge> edges) {
 // Unset entry of the detector's merchant → local id map.
 constexpr MerchantId kNoLocal = std::numeric_limits<MerchantId>::max();
 
-// One dirty component's share of the pair pass: its dense local graph,
-// the ensemble config seeded from its content, and one output slot per
-// member.
+// Every component's ensemble: the base config with fixed-k exploration
+// (up to max_blocks blocks per member), since the configured truncation
+// applies once, globally, after the merge. Components differ only in the
+// seed their members draw from.
+EnsemFDetConfig ComponentEnsembleConfig(EnsemFDetConfig base) {
+  base.fdet.policy = TruncationPolicy::kFixedK;
+  base.fdet.fixed_k = base.fdet.max_blocks;
+  return base;
+}
+
+// One dirty component's share of the member passes: its dense local
+// graph, every member's draw, and one FDET output per distinct sample.
 struct DirtyComponent {
   int32_t component = 0;
   uint64_t fingerprint = 0;
+  uint64_t seed = 0;
   std::span<const Edge> edges;  // global ids, canonical order
-  EnsemFDetConfig config;
   std::vector<UserId> users;          // local id → global id
   std::vector<MerchantId> merchants;  // local id → global id
   CsrGraph csr;
-  std::vector<EnsembleMemberBlocks> members;
-  std::vector<Status> member_status;
+  std::vector<MemberSample> draws;  // member i's draw
+  // Member i → index of its distinct sample; sample s was first drawn
+  // by member first_member[s], whose draw the peel pass runs.
+  std::vector<size_t> sample_of;
+  std::vector<size_t> first_member;
+  std::vector<EnsembleMemberBlocks> samples;  // global ids
+  std::vector<Status> status;  // member i's draw, then its sample's FDET
 };
 
-// Readies a dirty component for the pair pass in O(component edges). All
-// randomness is content-derived — same component content + same base
-// seed → same member outputs, whenever and wherever computed — and
-// exploration is fixed-k per component; the elbow applies globally after
-// the merge. Local ids are ranks among the component's global ids: the
-// edges arrive in canonical (user, merchant) order, so a user's rank is
-// its run index; a merchant's comes from `merchant_local`, a
-// universe-sized map (kNoLocal everywhere between calls) that only this
-// component's distinct merchants touch, sorted once. Components are
-// merchant-disjoint, so concurrent calls write disjoint entries. Both
-// relabelings are monotone, so the local edge list is canonical too.
-void PrepareComponent(const EnsemFDetConfig& base, MerchantId* merchant_local,
-                      DirtyComponent* d) {
-  d->config = base;
-  d->config.seed = HashCombine(base.seed, d->fingerprint);
-  d->config.fdet.policy = TruncationPolicy::kFixedK;
-  d->config.fdet.fixed_k = base.fdet.max_blocks;
-  d->members.resize(static_cast<size_t>(base.num_samples));
-  d->member_status.assign(static_cast<size_t>(base.num_samples),
-                          Status::OK());
+// Readies a dirty component for the member passes in O(component edges).
+// All randomness is content-derived — same component content + same base
+// seed → same member outputs, whenever and wherever computed. Local ids
+// are ranks among the component's global ids: the edges arrive in
+// canonical (user, merchant) order, so a user's rank is its run index; a
+// merchant's comes from `merchant_local`, a universe-sized map (kNoLocal
+// everywhere between calls) that only this component's distinct
+// merchants touch, sorted once. Components are merchant-disjoint, so
+// concurrent calls write disjoint entries. Both relabelings are monotone,
+// so the local edge list is canonical too.
+void PrepareComponent(uint64_t base_seed, int num_samples,
+                      MerchantId* merchant_local, DirtyComponent* d) {
+  d->seed = HashCombine(base_seed, d->fingerprint);
+  d->draws.resize(static_cast<size_t>(num_samples));
+  d->status.assign(static_cast<size_t>(num_samples), Status::OK());
 
   std::vector<Edge> local;  // local user id, global merchant id for now
   local.reserve(d->edges.size());
@@ -146,23 +159,53 @@ void PrepareComponent(const EnsemFDetConfig& base, MerchantId* merchant_local,
       static_cast<int64_t>(d->merchants.size()), local);
 }
 
-// Runs member `i` of a dirty component and translates its block nodes to
-// global ids, dropping the (component-local) edge lists — aggregation
-// only consumes nodes and φ.
-void RunDirtyMember(DirtyComponent* d, int i) {
-  Result<EnsembleMemberBlocks> member =
-      EnsemFDet(d->config).RunMember(d->csr, i);
-  if (!member.ok()) {
-    d->member_status[static_cast<size_t>(i)] = member.status();
+// Maps every member of a drawn component to the lowest-index member whose
+// mask equals its own. A masked FDET run is a pure function of (graph,
+// mask, weight scale, config), and equal masks carry equal sampler info,
+// so every member of a group gets the first member's blocks bit for bit.
+// Masks of distinct samples almost always differ within their first
+// entries, so a comparison costs O(1) unless the masks are equal.
+void GroupSamples(DirtyComponent* d) {
+  const size_t n = d->draws.size();
+  d->sample_of.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const MemberSample& draw = d->draws[i];
+    size_t s = 0;
+    while (s < d->first_member.size() &&
+           d->draws[d->first_member[s]].mask != draw.mask) {
+      ++s;
+    }
+    if (s == d->first_member.size()) {
+      d->first_member.push_back(i);
+    } else {
+      const EdgeMaskInfo& first = d->draws[d->first_member[s]].info;
+      ENSEMFDET_DCHECK(first.sample_users == draw.info.sample_users &&
+                       first.sample_merchants == draw.info.sample_merchants &&
+                       first.weight_scale == draw.info.weight_scale);
+    }
+    d->sample_of[i] = s;
+  }
+  d->samples.resize(d->first_member.size());
+}
+
+// Runs FDET on distinct sample `s` of a dirty component and translates its
+// block nodes to global ids, dropping the (component-local) edge lists —
+// aggregation only consumes nodes and φ.
+void PeelSample(const EnsemFDet& ensemble, DirtyComponent* d, size_t s) {
+  const size_t first = d->first_member[s];
+  Result<EnsembleMemberBlocks> sample =
+      ensemble.RunMemberOnSample(d->csr, d->draws[first]);
+  if (!sample.ok()) {
+    d->status[first] = sample.status();
     return;
   }
-  for (DetectedBlock& block : member->blocks) {
+  for (DetectedBlock& block : sample->blocks) {
     for (UserId& u : block.users) u = d->users[u];
     for (MerchantId& v : block.merchants) v = d->merchants[v];
     block.edges.clear();
     block.edges.shrink_to_fit();
   }
-  d->members[static_cast<size_t>(i)] = *std::move(member);
+  d->samples[s] = *std::move(sample);
 }
 
 // One member's share of the report in global ids: the distinct nodes of
@@ -177,6 +220,10 @@ struct MemberVotes {
 };
 
 }  // namespace
+
+StreamingDetector::StreamingDetector(StreamingDetectorConfig config)
+    : config_(std::move(config)),
+      component_ensemble_(ComponentEnsembleConfig(config_.ensemble)) {}
 
 Result<StreamingDetector> StreamingDetector::Create(
     StreamingDetectorConfig config) {
@@ -392,9 +439,11 @@ Result<StreamingReport> StreamingDetector::Detect(const GraphVersion& version,
     }
   }
 
-  // --- 3. Recompute the dirty components: local graphs in parallel, then
-  // every (component, member) pair in one work-stealing pass, largest
-  // components first, then the inserts in component order.
+  // --- 3. Recompute the dirty components: local graphs in parallel;
+  // every (component, member) draw in one work-stealing pass; each
+  // component's members grouped by equal mask; FDET once per distinct
+  // (component, sample) in a second pass; then the inserts in component
+  // order. The draw and FDET passes go largest component first.
   {
     obs::TraceSpan span(metrics.members_seconds, "stream_members");
     const auto num_dirty = static_cast<int64_t>(dirty.size());
@@ -404,7 +453,7 @@ Result<StreamingReport> StreamingDetector::Detect(const GraphVersion& version,
         merchant_local_.resize(static_cast<size_t>(num_merchants), kNoLocal);
       }
       ForEachOnPool(pool, num_dirty, [&](int64_t k) {
-        PrepareComponent(config_.ensemble, merchant_local_.data(),
+        PrepareComponent(config_.ensemble.seed, n, merchant_local_.data(),
                          &dirty[static_cast<size_t>(k)]);
       });
     }
@@ -414,18 +463,52 @@ Result<StreamingReport> StreamingDetector::Detect(const GraphVersion& version,
       return dirty[a].edges.size() > dirty[b].edges.size();
     });
     ForEachOnPool(pool, num_dirty * n, [&](int64_t pair) {
-      RunDirtyMember(&dirty[order[static_cast<size_t>(pair / n)]],
-                     static_cast<int>(pair % n));
+      DirtyComponent& d = dirty[order[static_cast<size_t>(pair / n)]];
+      const auto i = static_cast<int>(pair % n);
+      Result<MemberSample> draw =
+          component_ensemble_.DrawMember(d.csr, d.seed, i);
+      if (draw.ok()) {
+        d.draws[static_cast<size_t>(i)] = *std::move(draw);
+      } else {
+        d.status[static_cast<size_t>(i)] = draw.status();
+      }
     });
 
-    for (const DirtyComponent& d : dirty) {
-      for (const Status& status : d.member_status) {
-        ENSEMFDET_RETURN_NOT_OK(status);
-      }
+    ForEachOnPool(pool, num_dirty, [&](int64_t k) {
+      GroupSamples(&dirty[static_cast<size_t>(k)]);
+    });
+    std::vector<std::pair<size_t, size_t>> peels;  // (dirty index, sample)
+    for (size_t k : order) {
+      const size_t distinct = dirty[k].first_member.size();
+      out.stats.members_shared += n - static_cast<int64_t>(distinct);
+      for (size_t s = 0; s < distinct; ++s) peels.emplace_back(k, s);
     }
+    ForEachOnPool(pool, static_cast<int64_t>(peels.size()),
+                  [&](int64_t p) {
+                    const auto [k, s] = peels[static_cast<size_t>(p)];
+                    PeelSample(component_ensemble_, &dirty[k], s);
+                  });
+    for (const DirtyComponent& d : dirty) {
+      for (const Status& status : d.status) ENSEMFDET_RETURN_NOT_OK(status);
+    }
+
     for (DirtyComponent& d : dirty) {
       auto entry = std::make_shared<ComponentEntry>();
-      entry->members = std::move(d.members);
+      entry->members.resize(static_cast<size_t>(n));
+      for (size_t i = 0; i < entry->members.size(); ++i) {
+        // A member's cost is its own draw, plus the FDET run if it was
+        // the first to draw its sample.
+        ComponentEntry::Member& member = entry->members[i];
+        const size_t s = d.sample_of[i];
+        member.sample = s;
+        member.seconds = d.draws[i].seconds;
+        member.arena_grow_events = d.draws[i].arena_grow_events;
+        if (d.first_member[s] == i) {
+          member.seconds += d.samples[s].stats.seconds;
+          member.arena_grow_events += d.samples[s].stats.arena_grow_events;
+        }
+      }
+      entry->samples = std::move(d.samples);
       entry->num_edges = static_cast<int64_t>(d.edges.size());
       InsertCache(d.fingerprint, entry);
       ++out.stats.components_recomputed;
@@ -449,14 +532,15 @@ Result<StreamingReport> StreamingDetector::Detect(const GraphVersion& version,
       std::vector<const DetectedBlock*> merged;
       for (const auto& entry : entries) {
         if (entry == nullptr) continue;
-        const EnsembleMemberBlocks& member =
+        const ComponentEntry::Member& member =
             entry->members[static_cast<size_t>(i)];
-        agg.sample_users += member.stats.sample_users;
-        agg.sample_merchants += member.stats.sample_merchants;
-        agg.sample_edges += member.stats.sample_edges;
-        agg.seconds += member.stats.seconds;
-        agg.arena_grow_events += member.stats.arena_grow_events;
-        for (const DetectedBlock& block : member.blocks) {
+        const EnsembleMemberBlocks& sample = entry->samples[member.sample];
+        agg.sample_users += sample.stats.sample_users;
+        agg.sample_merchants += sample.stats.sample_merchants;
+        agg.sample_edges += sample.stats.sample_edges;
+        agg.seconds += member.seconds;
+        agg.arena_grow_events += member.arena_grow_events;
+        for (const DetectedBlock& block : sample.blocks) {
           merged.push_back(&block);
         }
       }
@@ -525,6 +609,7 @@ Result<StreamingReport> StreamingDetector::Detect(const GraphVersion& version,
   metrics.components_touched_total->Increment(out.stats.components_touched);
   metrics.edges_total->Increment(out.stats.edges_total);
   metrics.edges_recomputed_total->Increment(out.stats.edges_recomputed);
+  metrics.members_shared_total->Increment(out.stats.members_shared);
   return out;
 }
 

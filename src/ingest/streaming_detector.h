@@ -11,10 +11,11 @@
 // A component whose live edge set did not change between two detections
 // has the same fingerprint, hence the same seed, hence — ensemble members
 // being pure functions of (subgraph, seed) — bit-identical member outputs.
-// The detector therefore caches each component's raw per-member block
-// lists (EnsembleMemberBlocks, translated to global ids) keyed by the
-// component fingerprint, and on the next detection *replays* clean
-// components from the cache while re-running only the dirty ones. Window
+// The detector therefore caches each component's raw block lists
+// (EnsembleMemberBlocks, translated to global ids), one per distinct
+// member sample with a member → sample index, keyed by the component
+// fingerprint, and on the next detection *replays* clean components from
+// the cache while re-running only the dirty ones. Window
 // slides that merge, split, or grow a component change its fingerprint and
 // naturally invalidate it.
 //
@@ -35,10 +36,14 @@
 // emit BENCH_stream.json if it ever breaks.
 //
 // One Detect() runs in four stages (DESIGN.md "Dirty-scoped detection"):
-// label components by union-find over the live edges, resolve every
-// eligible component against the cache, run every (dirty component,
-// member) pair in one work-stealing pass over the pool, and aggregate the
-// members in parallel before adding their votes in member order.
+// label components by union-find over the live edges; resolve every
+// eligible component against the cache; recompute the dirty components
+// (build their local graphs, draw every (component, member) mask in one
+// work-stealing pass over the pool, map each member to the lowest member
+// with an equal mask, and run FDET once per distinct (component, sample)
+// in a second pass — a small component's members mostly draw the same
+// few edges); and aggregate the members in parallel before adding their
+// votes in member order.
 //
 // Thread-safety: a StreamingDetector instance is NOT thread-safe (one
 // mutable component cache + scratch); callers serialize Detect() per
@@ -90,6 +95,10 @@ struct StreamingDetectionStats {
   /// necessarily recomputed; recomputed − touched = cold-cache or
   /// LRU-evicted components.
   int64_t components_touched = 0;
+  /// Recomputed (component, member) pairs answered by an identical
+  /// sample's FDET run: N per recomputed component, less its distinct
+  /// samples.
+  int64_t members_shared = 0;
 };
 
 struct StreamingCacheStats {
@@ -132,14 +141,24 @@ class StreamingDetector {
   const StreamingDetectorConfig& config() const { return config_; }
 
  private:
-  explicit StreamingDetector(StreamingDetectorConfig config)
-      : config_(std::move(config)) {}
+  explicit StreamingDetector(StreamingDetectorConfig config);
 
-  /// Per-component cached artifact: the N members' raw blocks in *global*
-  /// ids (block edge lists dropped — aggregation only needs nodes + φ),
-  /// plus the component's live edge count for the stats.
+  /// Per-component cached artifact: the raw blocks of each distinct member
+  /// sample in *global* ids (block edge lists dropped — aggregation only
+  /// needs nodes + φ), which sample each of the N members drew, and the
+  /// component's live edge count for the stats.
   struct ComponentEntry {
-    std::vector<EnsembleMemberBlocks> members;
+    /// Member i's blocks and structural stats are those of
+    /// samples[members[i].sample]; its cost is its own draw, plus the
+    /// FDET run for the lowest member of each sample, so summed member
+    /// time is work actually done.
+    struct Member {
+      size_t sample = 0;
+      double seconds = 0.0;
+      int64_t arena_grow_events = 0;
+    };
+    std::vector<EnsembleMemberBlocks> samples;
+    std::vector<Member> members;
     int64_t num_edges = 0;
   };
 
@@ -155,6 +174,9 @@ class StreamingDetector {
   int64_t LabelComponents(const GraphVersion& version, uint64_t* fingerprint);
 
   StreamingDetectorConfig config_;
+  // Draws and peels every component's members (ComponentEnsembleConfig),
+  // so the sampler is built once per detector.
+  EnsemFDet component_ensemble_;
 
   // LRU cache: front = most recent.
   struct LruEntry {

@@ -88,55 +88,71 @@ uint64_t ReferenceComponentFingerprint(const std::vector<Edge>& edges) {
   return h;
 }
 
-// One component's N members, block nodes in global ids.
-std::vector<EnsembleMemberBlocks> ReferenceComponentMembers(
-    const std::vector<Edge>& edges, const StreamingDetectorConfig& config) {
+// One component's local graph (ids are ranks among its global ids) and
+// ensemble config: fixed-k exploration, seeded by the documented rule.
+struct ReferenceComponent {
   std::vector<UserId> users;
   std::vector<MerchantId> merchants;
+  CsrGraph csr;
+  EnsemFDetConfig ensemble;
+};
+
+ReferenceComponent BuildReferenceComponent(
+    const std::vector<Edge>& edges, const StreamingDetectorConfig& config) {
+  ReferenceComponent c;
   for (const Edge& e : edges) {
-    users.push_back(e.user);
-    merchants.push_back(e.merchant);
+    c.users.push_back(e.user);
+    c.merchants.push_back(e.merchant);
   }
-  std::sort(users.begin(), users.end());
-  users.erase(std::unique(users.begin(), users.end()), users.end());
-  std::sort(merchants.begin(), merchants.end());
-  merchants.erase(std::unique(merchants.begin(), merchants.end()),
-                  merchants.end());
-  GraphBuilder builder(static_cast<int64_t>(users.size()),
-                       static_cast<int64_t>(merchants.size()));
+  std::sort(c.users.begin(), c.users.end());
+  c.users.erase(std::unique(c.users.begin(), c.users.end()), c.users.end());
+  std::sort(c.merchants.begin(), c.merchants.end());
+  c.merchants.erase(std::unique(c.merchants.begin(), c.merchants.end()),
+                    c.merchants.end());
+  GraphBuilder builder(static_cast<int64_t>(c.users.size()),
+                       static_cast<int64_t>(c.merchants.size()));
   for (const Edge& e : edges) {
     builder.AddEdge(
         static_cast<UserId>(
-            std::lower_bound(users.begin(), users.end(), e.user) -
-            users.begin()),
+            std::lower_bound(c.users.begin(), c.users.end(), e.user) -
+            c.users.begin()),
         static_cast<MerchantId>(
-            std::lower_bound(merchants.begin(), merchants.end(),
+            std::lower_bound(c.merchants.begin(), c.merchants.end(),
                              e.merchant) -
-            merchants.begin()));
+            c.merchants.begin()));
   }
-  const CsrGraph csr = CsrGraph::FromBipartite(
+  c.csr = CsrGraph::FromBipartite(
       builder.Build(DuplicatePolicy::kKeepFirst).ValueOrDie());
 
-  EnsemFDetConfig sub = config.ensemble;
-  sub.seed = HashCombine(config.ensemble.seed,
-                         ReferenceComponentFingerprint(edges));
-  sub.fdet.policy = TruncationPolicy::kFixedK;
-  sub.fdet.fixed_k = config.ensemble.fdet.max_blocks;
-  const EnsemFDet ensemble(sub);
+  c.ensemble = config.ensemble;
+  c.ensemble.seed = HashCombine(config.ensemble.seed,
+                                ReferenceComponentFingerprint(edges));
+  c.ensemble.fdet.policy = TruncationPolicy::kFixedK;
+  c.ensemble.fdet.fixed_k = config.ensemble.fdet.max_blocks;
+  return c;
+}
+
+// One component's N members, block nodes in global ids.
+std::vector<EnsembleMemberBlocks> ReferenceComponentMembers(
+    const std::vector<Edge>& edges, const StreamingDetectorConfig& config) {
+  const ReferenceComponent c = BuildReferenceComponent(edges, config);
+  const EnsemFDet ensemble(c.ensemble);
   std::vector<EnsembleMemberBlocks> members;
-  for (int i = 0; i < sub.num_samples; ++i) {
-    EnsembleMemberBlocks member = ensemble.RunMember(csr, i).ValueOrDie();
+  for (int i = 0; i < c.ensemble.num_samples; ++i) {
+    EnsembleMemberBlocks member = ensemble.RunMember(c.csr, i).ValueOrDie();
     for (DetectedBlock& block : member.blocks) {
-      for (UserId& u : block.users) u = users[u];
-      for (MerchantId& v : block.merchants) v = merchants[v];
+      for (UserId& u : block.users) u = c.users[u];
+      for (MerchantId& v : block.merchants) v = c.merchants[v];
     }
     members.push_back(std::move(member));
   }
   return members;
 }
 
-EnsemFDetReport ReferenceDetect(const GraphVersion& version,
-                                const StreamingDetectorConfig& config) {
+// The eligible components' canonical edge lists, in the detector's
+// component order.
+std::vector<std::vector<Edge>> ReferenceComponentEdges(
+    const GraphVersion& version, const StreamingDetectorConfig& config) {
   const BipartiteGraph graph = LiveGraph(version);
   const ConnectedComponents cc = FindConnectedComponents(graph);
   std::vector<std::vector<Edge>> comp_edges(
@@ -146,12 +162,22 @@ EnsemFDetReport ReferenceDetect(const GraphVersion& version,
     comp_edges[static_cast<size_t>(cc.user_component[edge.user])].push_back(
         edge);
   }
-  std::vector<std::vector<EnsembleMemberBlocks>> components;
-  for (const std::vector<Edge>& edges : comp_edges) {
+  std::vector<std::vector<Edge>> eligible;
+  for (std::vector<Edge>& edges : comp_edges) {
     if (edges.empty() ||
         static_cast<int64_t>(edges.size()) < config.min_component_edges) {
       continue;
     }
+    eligible.push_back(std::move(edges));
+  }
+  return eligible;
+}
+
+EnsemFDetReport ReferenceDetect(const GraphVersion& version,
+                                const StreamingDetectorConfig& config) {
+  std::vector<std::vector<EnsembleMemberBlocks>> components;
+  for (const std::vector<Edge>& edges :
+       ReferenceComponentEdges(version, config)) {
     components.push_back(ReferenceComponentMembers(edges, config));
   }
 
@@ -454,6 +480,127 @@ TEST(IngestParityTest, MatchesSerialReferee) {
   }
 }
 
+// A component whose live edges are fewer than 1/S draws the same
+// one-edge sample for most of its members (SampleTargetCount clamps to
+// one). Each distinct (component, sample) is peeled once and shared by
+// the members that drew it; `components` lists each component's edges
+// (global ids). For every sampling method at pool widths 1 and 4, a cold
+// detector runs exactly one member peel per distinct sample, counts the
+// rest as shared, and still equals the serial referee, which peels every
+// member.
+void ExpectDistinctSamplesPeeledOnce(
+    const std::vector<std::vector<Edge>>& components,
+    std::vector<int64_t>* distinct_per_method) {
+  DynamicGraphStoreConfig store_config;
+  store_config.num_users = 64;
+  store_config.num_merchants = 64;
+  store_config.window = 1000;
+  auto store = DynamicGraphStore::Create(store_config).ValueOrDie();
+  IngestBatch batch;
+  int64_t t = 0;
+  for (const std::vector<Edge>& edges : components) {
+    for (const Edge& e : edges) {
+      batch.transactions.push_back({t++, e.user, e.merchant});
+    }
+  }
+  ASSERT_TRUE(store.Apply(batch).ok());
+  const GraphVersion version = store.Publish();
+
+  obs::Histogram* peels = obs::MetricsRegistry::Global().GetHistogram(
+      "ensemfdet_detect_member_peel_seconds");
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for (SampleMethod method :
+       {SampleMethod::kRandomEdge, SampleMethod::kOneSideUser,
+        SampleMethod::kOneSideMerchant, SampleMethod::kTwoSide}) {
+    StreamingDetectorConfig config = DetectorConfig(method, 71);
+    config.ensemble.num_samples = 16;
+    config.ensemble.ratio = 0.1;
+    const int n = config.ensemble.num_samples;
+
+    // The distinct samples, from each component's member draws.
+    const std::vector<std::vector<Edge>> eligible =
+        ReferenceComponentEdges(version, config);
+    ASSERT_EQ(eligible.size(), components.size());
+    int64_t distinct = 0;
+    for (const std::vector<Edge>& edges : eligible) {
+      const ReferenceComponent c = BuildReferenceComponent(edges, config);
+      const EnsemFDet ensemble(c.ensemble);
+      std::vector<std::vector<EdgeId>> masks;
+      for (int i = 0; i < n; ++i) {
+        MemberSample draw =
+            ensemble.DrawMember(c.csr, c.ensemble.seed, i).ValueOrDie();
+        if (std::find(masks.begin(), masks.end(), draw.mask) == masks.end()) {
+          masks.push_back(std::move(draw.mask));
+        }
+      }
+      distinct += static_cast<int64_t>(masks.size());
+    }
+    distinct_per_method->push_back(distinct);
+    const auto num_components = static_cast<int64_t>(components.size());
+    const EnsemFDetReport expected = ReferenceDetect(version, config);
+
+    for (ThreadPool* pool : {&pool1, &pool4}) {
+      SCOPED_TRACE(std::string(SampleMethodName(method)) +
+                   " threads=" + std::to_string(pool->num_threads()));
+      auto detector = StreamingDetector::Create(config).ValueOrDie();
+      const int64_t peels_before = peels->Count();
+      StreamingReport got = detector.Detect(version, pool).ValueOrDie();
+      ASSERT_EQ(got.stats.components_recomputed, num_components);
+      EXPECT_EQ(got.stats.members_shared, num_components * n - distinct);
+      if (obs::kMetricsCompiledIn) {
+        EXPECT_EQ(peels->Count() - peels_before, distinct);
+      }
+      ExpectReportsIdentical(got.report, expected, "shared samples");
+    }
+  }
+}
+
+TEST(IngestParityTest, OneEdgeComponentsPeelOnce) {
+  std::vector<std::vector<Edge>> components;
+  for (uint32_t k = 0; k < 12; ++k) {
+    components.push_back({{k, 2 * k + 1}});
+  }
+  std::vector<int64_t> distinct;
+  ExpectDistinctSamplesPeeledOnce(components, &distinct);
+  for (int64_t d : distinct) EXPECT_EQ(d, 12) << "one sample per component";
+}
+
+TEST(IngestParityTest, SmallComponentsPeelEachDistinctSampleOnce) {
+  // Components of 2, 3, 5, 8, 12 and 19 edges (stars from either side and
+  // complete blocks), plus two single edges; users and merchants ascend
+  // with the component.
+  std::vector<std::vector<Edge>> components;
+  components.push_back({{0, 0}, {0, 1}});
+  components.push_back({{1, 2}, {2, 2}, {3, 2}});
+  std::vector<Edge> star5;
+  for (uint32_t v = 3; v < 8; ++v) star5.push_back({4, v});
+  components.push_back(star5);
+  std::vector<Edge> block8;
+  for (uint32_t u = 5; u < 7; ++u) {
+    for (uint32_t v = 8; v < 12; ++v) block8.push_back({u, v});
+  }
+  components.push_back(block8);
+  std::vector<Edge> block12;
+  for (uint32_t u = 7; u < 10; ++u) {
+    for (uint32_t v = 12; v < 16; ++v) block12.push_back({u, v});
+  }
+  components.push_back(block12);
+  std::vector<Edge> star19;
+  for (uint32_t v = 16; v < 35; ++v) star19.push_back({10, v});
+  components.push_back(star19);
+  components.push_back({{11, 35}});
+  components.push_back({{12, 36}});
+  std::vector<int64_t> distinct;
+  ExpectDistinctSamplesPeeledOnce(components, &distinct);
+  // Some components draw several samples, and some members share one.
+  const auto num_components = static_cast<int64_t>(components.size());
+  for (int64_t d : distinct) {
+    EXPECT_GT(d, num_components);
+    EXPECT_LT(d, 16 * num_components);
+  }
+}
+
 // A detection looks every eligible component up before it inserts any
 // recomputed one, so an insert can only evict entries the same detection
 // does not replay. Ten cached two-edge components fill a ten-entry
@@ -637,6 +784,7 @@ TEST(IngestParityTest, RegistryDeltaMirrorsReportStats) {
       "ensemfdet_stream_components_touched_total",
       "ensemfdet_stream_edges_total",
       "ensemfdet_stream_edges_recomputed_total",
+      "ensemfdet_stream_members_shared_total",
   };
   size_t next = 0;
   const size_t interval_events = events.size() / 4;
@@ -661,7 +809,8 @@ TEST(IngestParityTest, RegistryDeltaMirrorsReportStats) {
                                 s.components_recomputed,
                                 s.components_touched,
                                 s.edges_total,
-                                s.edges_recomputed};
+                                s.edges_recomputed,
+                                s.members_shared};
     for (size_t i = 0; i < before.size(); ++i) {
       EXPECT_EQ(reg.GetCounter(names[i])->Value() - before[i], expected[i])
           << names[i];

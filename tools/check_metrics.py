@@ -94,6 +94,8 @@ REQUIRED = {
     "ensemfdet_stream_components_total": "counter",
     "ensemfdet_stream_components_reused_total": "counter",
     "ensemfdet_stream_edges_total": "counter",
+    # Member pairs answered by an identical sample's FDET run.
+    "ensemfdet_stream_members_shared_total": "counter",
     "ensemfdet_stream_detect_seconds": "histogram",
     # One histogram per StreamingDetector::Detect stage.
     "ensemfdet_stream_label_seconds": "histogram",
